@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import fields
 from typing import Any
 
 from .calibrate import calibration_report
@@ -26,7 +27,6 @@ from .combine import (
 )
 from .curves import EstimateSpec, curve
 from .simulate import LOW_N, RngSpec, simulate_exact_binomial, simulate_uniform_p
-from .specfun import ConvergenceError
 from .units import (
     InfoUnit,
     PValue,
@@ -53,13 +53,6 @@ def _sanitize(value: Any, key: str, notes: list[str]) -> Any:
     return value
 
 
-def _emit_json(payload: dict) -> None:
-    notes = list(payload.pop("notes", ()))
-    clean = {k: _sanitize(v, k, notes) for k, v in payload.items()}
-    clean["notes"] = notes
-    print(json.dumps(clean, allow_nan=False))
-
-
 def _fmt_table(value: Any) -> str:
     if value is None:
         return "-"
@@ -70,57 +63,70 @@ def _fmt_table(value: Any) -> str:
     return str(value)
 
 
-def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, Any]]:
-    rows: list[tuple[str, Any]] = []
+def _fmt_csv(value: Any) -> Any:
+    return "" if value is None else repr(value) if isinstance(value, float) else value
+
+
+def _flatten(payload: dict, prefix: str = "") -> dict[str, Any]:
+    flat: dict[str, Any] = {}
     for k, v in payload.items():
         key = f"{prefix}{k}"
         if isinstance(v, dict):
-            rows.extend(_flatten(v, f"{key}."))
+            flat.update(_flatten(v, f"{key}."))
         else:
-            rows.append((key, v))
-    return rows
+            flat[key] = v
+    return flat
 
 
-def _emit_table(payload: dict) -> None:
-    notes = list(payload.pop("notes", ()))
-    rows = _flatten(payload)
-    width = max(len(k) for k, _ in rows)
-    for k, v in rows:
+def _emit(payload: dict | list[dict], fmt: str) -> None:
+    """Write one record (a dict) or a table of rows (a list of dicts) to stdout.
+
+    JSON records are sanitized and always carry a notes list; CSV and tables
+    flatten nested records to dotted keys. CSV drops the notes and the unit
+    column of rows; tables round and send notes to stderr.
+    """
+    if fmt == "json":
+        if isinstance(payload, dict):
+            notes = list(payload.pop("notes", ()))
+            payload = {k: _sanitize(v, k, notes) for k, v in payload.items()}
+            payload["notes"] = notes
+        print(json.dumps(payload, allow_nan=False))
+        return
+    rows = [_flatten(r) for r in (payload if isinstance(payload, list) else [payload])]
+    notes = rows[0].pop("notes", ())
+    if fmt == "csv":
+        header = [k for k in rows[0] if k != "unit"]
+        writer = csv.writer(sys.stdout, **CSV_DIALECT)
+        writer.writerow(header)
+        writer.writerows([_fmt_csv(row[k]) for k in header] for row in rows)
+        return
+    width = max(map(len, rows[0]))
+    for k, v in rows[0].items():
         print(f"{k.ljust(width)}  {_fmt_table(v)}")
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
 
 
-def _emit_csv(payload: dict) -> None:
-    payload = dict(payload)
-    payload.pop("notes", None)
-    rows = _flatten(payload)
-    writer = csv.writer(sys.stdout, **CSV_DIALECT)
-    writer.writerow([k for k, _ in rows])
-    writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v for _, v in rows])
+def _record(report: Any, unit_suffix: bool = True) -> dict[str, Any]:
+    """A report dataclass's fields in declaration order; an SValue field f
+    becomes its value under the key f_<unit> (or f, without unit_suffix)."""
+    out: dict[str, Any] = {}
+    for f in fields(report):
+        v = getattr(report, f.name)
+        if isinstance(v, SValue):
+            out[f"{f.name}_{v.unit.value}" if unit_suffix else f.name] = v.value
+        else:
+            out[f.name] = v
+    return out
 
 
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        _emit_json(payload)
-    elif fmt == "csv":
-        _emit_csv(payload)
-    else:
-        _emit_table(payload)
+def _rename(record: dict, old: str, new: str) -> dict:
+    return {new if k == old else k: v for k, v in record.items()}
 
 
-def _svalue_fields(s: SValue) -> dict:
-    return {
-        "s_bits": convert(s, InfoUnit.BITS).value,
-        "s_nats": convert(s, InfoUnit.NATS).value,
-        "s_dits": convert(s, InfoUnit.DITS).value,
-    }
-
-
-def cmd_convert(args: argparse.Namespace) -> None:
+def cmd_convert(args: argparse.Namespace) -> dict:
     if (args.p is None) == (args.s is None):
         raise ValueError("give exactly one of --p or --s (with --from-unit)")
-    notes: list[str] = []
     if args.p is not None:
         p = PValue(args.p)
         s = surprisal(p, InfoUnit.NATS)
@@ -128,136 +134,58 @@ def cmd_convert(args: argparse.Namespace) -> None:
         s = SValue(args.s, InfoUnit.from_name(args.from_unit))
         p = from_surprisal(s)
     payload: dict[str, Any] = {"p": p.value}
-    payload.update(_svalue_fields(s))
+    payload.update({f"s_{u.value}": convert(s, u).value for u in InfoUnit})
     payload["coin_tosses"] = coin_toss_gauge(p)
     if p.value == 1.0:
         payload["sigma"] = None
-        notes.append("sigma is undefined at p = 1 (the one-sided cutoff is -infinity)")
+        payload["notes"] = ["sigma is undefined at p = 1 (the one-sided cutoff is -infinity)"]
     else:
         payload["sigma"] = two_sided_to_sigma(p)
-    payload["notes"] = notes
-    _emit(payload, args.format)
+    return payload
 
 
-def _combine_payload(args: argparse.Namespace) -> dict:
+def cmd_combine(args: argparse.Namespace) -> dict:
     studies = studies_from_csv(args.input)
     p_form = studies[0].has_p
     method = args.method
     if method == "s-sum":
         if not p_form:
             raise SchemaError("method s-sum requires columns id,p; the input carries id,estimate,std_error")
-        rep = s_summation_test(studies)
-        return {
-            "method": "s-sum",
-            "k": rep.k,
-            "s_plus_nats": rep.s_plus.value,
-            "df": rep.df,
-            "p_summary": rep.p_summary,
-            "s_summary_nats": rep.s_summary.value,
-            "expected_noise_nats": rep.expected_noise_nats,
-            "shrinkage_nats": rep.shrinkage_nats,
-        }
+        return {"method": method, **_record(s_summation_test(studies))}
     if p_form:
         raise SchemaError(
             f"method {method} requires columns id,estimate,std_error; the input carries id,p"
         )
     if method == "z2":
         z_scores = [(st.estimate - args.null) / st.std_error for st in studies]
-        zrep = z_squared_test(z_scores)
-        return {
-            "method": "z2",
-            "k": zrep.k,
-            "statistic": zrep.statistic,
-            "df": zrep.df,
-            "p_summary": zrep.p_summary,
-            "s_summary_nats": zrep.s_summary.value,
-            "notes": [zrep.df_caveat],
-        }
+        record = _record(z_squared_test(z_scores))
+        record["notes"] = [record.pop("df_caveat")]
+        return {"method": method, **record}
     if method == "pooled":
-        prep = pooled_homogeneity_test(studies, args.null)
-        return {
-            "method": "pooled",
-            "k": prep.k,
-            "pooled_estimate": prep.pooled_estimate,
-            "pooled_se": prep.pooled_se,
-            "z": prep.z,
-            "p_two_sided": prep.p_two_sided,
-            "s_summary_nats": prep.s_summary.value,
-            "df": prep.df,
-        }
+        return {"method": method, **_record(pooled_homogeneity_test(studies, args.null))}
     cmp_ = compare_methods(studies, args.null)
+    s_sum = _record(cmp_.s_summation)
+    pooled = _rename(_record(cmp_.pooled), "p_two_sided", "p_summary")
     return {
-        "method": "compare",
-        "k": cmp_.s_summation.k,
-        "s_summation": {
-            "s_plus_nats": cmp_.s_summation.s_plus.value,
-            "df": cmp_.s_summation.df,
-            "p_summary": cmp_.s_summation.p_summary,
-            "s_summary_nats": cmp_.s_summation_nats,
-        },
-        "pooled": {
-            "pooled_estimate": cmp_.pooled.pooled_estimate,
-            "pooled_se": cmp_.pooled.pooled_se,
-            "z": cmp_.pooled.z,
-            "p_summary": cmp_.pooled.p_two_sided,
-            "s_summary_nats": cmp_.pooled_nats,
-            "df": cmp_.pooled.df,
-        },
+        "method": method,
+        "k": s_sum["k"],
+        "s_summation": {k: s_sum[k] for k in ("s_plus_nats", "df", "p_summary", "s_summary_nats")},
+        "pooled": {k: v for k, v in pooled.items() if k != "k"},
         "difference_nats": cmp_.difference_nats,
     }
 
 
-def cmd_combine(args: argparse.Namespace) -> None:
-    _emit(_combine_payload(args), args.format)
+def cmd_calibrate(args: argparse.Namespace) -> dict:
+    return _rename(_record(calibration_report(PValue(args.p), args.d)), "df_d", "d")
 
 
-def cmd_calibrate(args: argparse.Namespace) -> None:
-    rep = calibration_report(PValue(args.p), args.d)
-    payload = {
-        "p": rep.p,
-        "d": rep.df_d,
-        "mlr": rep.mlr,
-        "deviance": rep.deviance,
-        "aic_delta": rep.aic_delta,
-        "bf_lower_bound": rep.bf_lower_bound,
-        "odds_increase_bound": rep.odds_increase_bound,
-        "conditional_type1": rep.conditional_type1,
-        "notes": list(rep.notes),
-    }
-    _emit(payload, args.format)
-
-
-CURVE_COLUMNS = ("mu1", "p_ge", "p_le", "s_le", "p_two", "s_two")
-
-
-def cmd_curve(args: argparse.Namespace) -> None:
-    spec = EstimateSpec(args.estimate, args.se)
+def cmd_curve(args: argparse.Namespace) -> list[dict]:
     unit = InfoUnit.from_name(args.unit)
-    points = curve(spec, args.from_, args.to, args.steps, unit)
-    if args.format == "json":
-        rows = [
-            {
-                "mu1": pt.mu1,
-                "p_ge": pt.p_ge,
-                "p_le": pt.p_le,
-                "s_le": pt.s_le.value,
-                "p_two": pt.p_two,
-                "s_two": pt.s_two.value,
-                "unit": unit.value,
-            }
-            for pt in points
-        ]
-        print(json.dumps(rows, allow_nan=False))
-        return
-    writer = csv.writer(sys.stdout, **CSV_DIALECT)
-    writer.writerow(CURVE_COLUMNS)
-    for pt in points:
-        writer.writerow(
-            [repr(v) for v in (pt.mu1, pt.p_ge, pt.p_le, pt.s_le.value, pt.p_two, pt.s_two.value)]
-        )
+    points = curve(EstimateSpec(args.estimate, args.se), args.from_, args.to, args.steps, unit)
+    return [{**_record(pt, unit_suffix=False), "unit": unit.value} for pt in points]
 
 
-def cmd_simulate(args: argparse.Namespace) -> None:
+def cmd_simulate(args: argparse.Namespace) -> dict:
     alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
     rng = RngSpec(args.seed, args.stream)
     if args.generator == "uniform":
@@ -266,26 +194,14 @@ def cmd_simulate(args: argparse.Namespace) -> None:
         if args.trials is None or args.theta0 is None:
             raise ValueError("--generator binomial requires --trials and --theta0")
         summary = simulate_exact_binomial(args.n, args.trials, args.theta0, rng, alphas)
-    payload = {
-        "generator": args.generator,
-        "n": summary.n,
-        "seed": args.seed,
-        "stream": args.stream,
-        "mean_s_nats": summary.mean_s_nats,
-        "mean_s_bits": summary.mean_s_bits,
-        "se_of_mean": summary.se_of_mean,
-        "empirical_type1": {repr(a): r for a, r in summary.empirical_type1.items()},
-        "dominance_violations": summary.dominance_violations,
-        "low_n": summary.low_n,
-    }
+    record = _record(summary)
+    payload = {"generator": args.generator, "n": record.pop("n"), "seed": args.seed,
+               "stream": args.stream, **record}
     if args.generator == "binomial":
-        payload["trials"] = args.trials
-        payload["theta0"] = args.theta0
-    notes = []
+        payload.update(trials=args.trials, theta0=args.theta0)
     if summary.low_n:
-        notes.append(f"n = {summary.n} is below {LOW_N}; summary statistics are unreliable")
-    payload["notes"] = notes
-    _emit_json(payload)  # simulation output is always machine-stable JSON
+        payload["notes"] = [f"n = {summary.n} is below {LOW_N}; summary statistics are unreliable"]
+    return payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,10 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "csv", "table"), default="table",
         help="output format (default: table)",
-    )
-    common.add_argument(
-        "--unit", choices=("bits", "nats", "dits"), default="bits",
-        help="information unit for curve output (default: bits)",
     )
 
     parser = argparse.ArgumentParser(
@@ -331,6 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--from", dest="from_", type=float, required=True)
     p_curve.add_argument("--to", type=float, required=True)
     p_curve.add_argument("--steps", type=int, required=True)
+    p_curve.add_argument("--unit", choices=("bits", "nats", "dits"), default="bits",
+                         help="information unit of the S-values (default: bits)")
     p_curve.set_defaults(func=cmd_curve)
 
     p_sim = sub.add_parser("simulate", parents=[common], help="Monte Carlo validity checks")
@@ -348,11 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    fmt = args.format
+    if args.command == "simulate":
+        fmt = "json"  # simulation output is always machine-stable JSON
+    elif args.command == "curve" and fmt == "table":
+        fmt = "csv"  # a curve is a grid of rows; its table form is CSV
     try:
-        args.func(args)
-    except (ValueError, ConvergenceError) as exc:
+        _emit(args.func(args), fmt)
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -112,9 +112,25 @@ def _summarize(p: np.ndarray, alphas: list[float]) -> SimulationSummary:
     )
 
 
-def _uniform_pvalues(n: int, rng: RngSpec) -> np.ndarray:
-    # 1 - U keeps the draw in (0, 1]; numpy's random() can return exactly 0.
-    return 1.0 - rng.generator().random(n)
+def _null_pvalues(
+    generator: str,
+    n: int,
+    rng: RngSpec,
+    trials: int | None = None,
+    theta0: float | None = None,
+) -> np.ndarray:
+    """n P-values drawn under the null of the uniform or exact-binomial generator."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"replicate count must be a positive integer, got {n!r}")
+    if generator == "uniform":
+        # 1 - U keeps the draw in (0, 1]; numpy's random() can return exactly 0.
+        return 1.0 - rng.generator().random(n)
+    if generator != "binomial":
+        raise ValueError(f"unknown generator {generator!r}; expected uniform or binomial")
+    if trials is None or theta0 is None:
+        raise ValueError("binomial generator requires trials and theta0")
+    tails = np.asarray(binomial_upper_tail_pvalues(trials, theta0))
+    return tails[rng.generator().binomial(trials, theta0, size=n)]
 
 
 def simulate_uniform_p(
@@ -125,10 +141,8 @@ def simulate_uniform_p(
     Under uniformity the mean surprisal targets 1 nat (1.443 bits) and the
     rejection rate at each alpha targets alpha itself.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"replicate count must be a positive integer, got {n!r}")
-    alphas = _check_alphas(list(alphas))
-    return _summarize(_uniform_pvalues(n, rng), alphas)
+    alphas = _check_alphas(alphas)
+    return _summarize(_null_pvalues("uniform", n, rng), alphas)
 
 
 def binomial_upper_tail_pvalues(trials: int, theta0: float) -> list[float]:
@@ -179,12 +193,8 @@ def simulate_exact_binomial(
     (dominance_violations counts the failures), and the mean surprisal is at
     most ~1 nat, read as minimum information against the null.
     """
-    if not isinstance(n_reps, int) or isinstance(n_reps, bool) or n_reps < 1:
-        raise ValueError(f"replicate count must be a positive integer, got {n_reps!r}")
-    alphas = _check_alphas(list(alphas))
-    tails = np.asarray(binomial_upper_tail_pvalues(trials, theta0))
-    x = rng.generator().binomial(trials, theta0, size=n_reps)
-    return _summarize(tails[x], alphas)
+    alphas = _check_alphas(alphas)
+    return _summarize(_null_pvalues("binomial", n_reps, rng, trials, theta0), alphas)
 
 
 def evalue_check(
@@ -200,31 +210,18 @@ def evalue_check(
     below 1. Passes when the sample mean minus 3 standard errors does not
     exceed 1. Small n is flagged, not failed.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"replicate count must be a positive integer, got {n!r}")
-    if generator == "uniform":
-        p = _uniform_pvalues(n, rng)
-        label = "uniform"
-    elif generator == "binomial":
-        if trials is None or theta0 is None:
-            raise ValueError("binomial generator requires trials and theta0")
-        tails = np.asarray(binomial_upper_tail_pvalues(trials, theta0))
-        x = rng.generator().binomial(trials, theta0, size=n)
-        p = tails[x]
-        label = f"binomial(trials={trials}, theta0={theta0})"
-    else:
-        raise ValueError(f"unknown generator {generator!r}; expected uniform or binomial")
-    s = -np.log(p)
-    mean = float(s.mean())
-    se = float(s.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+    summary = _summarize(_null_pvalues(generator, n, rng, trials, theta0), [])
+    mean, se = summary.mean_s_nats, summary.se_of_mean
     margin = 3.0 * se if math.isfinite(se) else 0.0
+    if generator == "binomial":
+        generator = f"binomial(trials={trials}, theta0={theta0})"
     return EValueCheck(
         n=n,
-        generator=label,
+        generator=generator,
         mean_e_condition=mean,
         se_of_mean=se,
         passed=mean - margin <= 1.0,
-        low_n=n < LOW_N,
+        low_n=summary.low_n,
     )
 
 

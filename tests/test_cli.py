@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -258,3 +259,98 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["combine"])
         assert exc.value.code == 2
+
+
+class TestArithmeticErrors:
+    """Overflow and division by zero inside the numerics end in exit 2, not a traceback."""
+
+    def test_calibrate_tiny_p(self, capsys):
+        code, out, err = run(capsys, "calibrate", "--p", "1e-320")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_binomial_many_trials(self, capsys):
+        code, out, err = run(capsys, "simulate", "--generator", "binomial", "--n", "100",
+                             "--trials", "2000", "--theta0", "0.5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_pooled_tiny_std_error(self, capsys, tmp_path):
+        f = tmp_path / "tiny.csv"
+        f.write_text("id,estimate,std_error\na,0.3,1e-200\nb,0.5,0.2\n", encoding="utf-8")
+        code, out, err = run(capsys, "combine", "--input", str(f), "--method", "pooled")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+
+class TestUnitOption:
+    """Only curve takes --unit (TestCurve.test_json_format uses it)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["convert", "--p", "0.05"],
+        ["combine", "--input", "studies.csv"],
+        ["calibrate", "--p", "0.05"],
+        ["simulate", "--n", "100"],
+    ])
+    def test_rejected_outside_curve(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--unit", "nats"])
+        assert exc.value.code == 2
+        assert "--unit" in capsys.readouterr().err
+
+
+# Exact stdout, stderr and exit code of every subcommand in every format.
+# The expected text in cli_golden.json is keyed "<case>/<format>"; "{name}"
+# arguments name the CSV inputs below, written to a temporary directory.
+GOLDEN_INPUTS = {
+    "p_csv": "id,p\na,0.05\nb,0.05\n",
+    "effect_csv": "id,estimate,std_error\na,0.3,0.1\nb,0.5,0.2\n",
+    "deep_csv": "id,p\na,1e-150\nb,1e-150\n",  # p_summary ~ 6.9e-298
+}
+GOLDEN_CASES = {
+    "convert_p": ["convert", "--p", "0.05"],
+    "convert_p1": ["convert", "--p", "1"],
+    "convert_s": ["convert", "--s", "3.0", "--from-unit", "dits"],
+    "calibrate": ["calibrate", "--p", "0.05"],
+    "calibrate_d3": ["calibrate", "--p", "0.05", "--d", "3"],
+    "calibrate_p_half": ["calibrate", "--p", "0.5"],
+    "combine_s_sum": ["combine", "--input", "{p_csv}", "--method", "s-sum"],
+    "combine_s_sum_deep": ["combine", "--input", "{deep_csv}", "--method", "s-sum"],
+    "combine_z2": ["combine", "--input", "{effect_csv}", "--method", "z2"],
+    "combine_pooled": ["combine", "--input", "{effect_csv}", "--method", "pooled"],
+    "combine_compare": ["combine", "--input", "{effect_csv}", "--method", "compare"],
+    "curve": ["curve", "--estimate", "1.2", "--se", "0.5", "--from", "1.0", "--to", "1.4",
+              "--steps", "3"],
+    "curve_nats": ["curve", "--estimate", "0", "--se", "1", "--from", "-2", "--to", "2",
+                   "--steps", "5", "--unit", "nats"],
+    "simulate_uniform": ["simulate", "--n", "2000", "--seed", "42", "--alphas", "0.01,0.05"],
+    "simulate_binomial": ["simulate", "--generator", "binomial", "--n", "2000",
+                          "--trials", "10", "--theta0", "0.5", "--seed", "7"],
+    "simulate_low_n": ["simulate", "--n", "50", "--seed", "3"],
+}
+GOLDEN_FORMATS = ("json", "csv", "table")
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(Path(__file__).with_name("cli_golden.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.fixture
+def golden_inputs(tmp_path):
+    for name, text in GOLDEN_INPUTS.items():
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+    return {name: str(tmp_path / f"{name}.csv") for name in GOLDEN_INPUTS}
+
+
+def test_golden_covers_every_case(golden):
+    assert set(golden) == {f"{c}/{f}" for c in GOLDEN_CASES for f in GOLDEN_FORMATS}
+
+
+@pytest.mark.parametrize("fmt", GOLDEN_FORMATS)
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_golden_output(capsys, golden, golden_inputs, case, fmt):
+    argv = [a.format(**golden_inputs) for a in GOLDEN_CASES[case]]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert {"code": code, "out": out, "err": err} == golden[f"{case}/{fmt}"]

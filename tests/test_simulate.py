@@ -182,6 +182,15 @@ class TestEvalueCheck:
         with pytest.raises(ValueError):
             evalue_check(1000, RngSpec(0), "poisson")
 
+    def test_same_draws_as_the_simulations(self):
+        rng = RngSpec(9, 2)
+        for chk, sim in (
+            (evalue_check(5000, rng, "uniform"), simulate_uniform_p(5000, rng, [])),
+            (evalue_check(5000, rng, "binomial", 12, 0.3),
+             simulate_exact_binomial(5000, 12, 0.3, rng, [])),
+        ):
+            assert (chk.mean_e_condition, chk.se_of_mean) == (sim.mean_s_nats, sim.se_of_mean)
+
 
 class TestDistributionReport:
     def test_perfect_exponential_quantiles(self):
