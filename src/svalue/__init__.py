@@ -45,13 +45,11 @@ from .simulate import (
 from .specfun import (
     ChiSquare,
     ConvergenceError,
-    chisq_survival,
     log_chisq_survival,
     log_gamma,
     log_reg_gamma_upper,
     normal_cdf,
     normal_quantile,
-    reg_gamma_upper,
 )
 from .units import (
     InfoUnit,
@@ -90,7 +88,6 @@ __all__ = [
     "bayes_factor_bound",
     "binomial_upper_tail_pvalues",
     "calibration_report",
-    "chisq_survival",
     "coin_toss_gauge",
     "compare_methods",
     "convert",
@@ -108,7 +105,6 @@ __all__ = [
     "normal_quantile",
     "p_lower",
     "pooled_homogeneity_test",
-    "reg_gamma_upper",
     "s_summation_test",
     "s_upper_complement",
     "simulate_exact_binomial",

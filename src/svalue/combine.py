@@ -22,13 +22,8 @@ import math
 import os
 from dataclasses import dataclass
 
-from .specfun import ChiSquare, chisq_survival, log_chisq_survival, normal_cdf
+from .specfun import ChiSquare, log_chisq_survival, normal_cdf
 from .units import InfoUnit, PValue, SValue
-
-# Below this survival probability the naive float is down in denormal
-# territory; the summary surprisal is taken from the log-space evaluation
-# instead so that combining many small P-values never reports infinity.
-_UNDERFLOW = 1e-300
 
 Z_SQUARED_DF_CAVEAT = (
     "df = K assumes no cross-study information was used to compute the "
@@ -131,14 +126,13 @@ class MethodComparison:
 
 
 def _summary_from_chisq(df: int, x: float) -> tuple[float, float]:
-    """(survival p, surprisal in nats) of a chi-squared statistic, underflow-safe."""
-    dist = ChiSquare(df)
-    p = chisq_survival(dist, x)
-    if p < _UNDERFLOW:
-        s_nats = -log_chisq_survival(dist, x)
-    else:
-        s_nats = -math.log(p)
-    return p, s_nats + 0.0
+    """(survival p, surprisal in nats) of a chi-squared statistic.
+
+    The surprisal comes from the log-space kernel and stays finite; p = e^-s is
+    for display and may underflow to 0.0.
+    """
+    s = -log_chisq_survival(ChiSquare(df), x) + 0.0
+    return math.exp(-s), s
 
 
 def _two_sided_p(z: float) -> float:
@@ -214,17 +208,13 @@ def pooled_homogeneity_test(
     pooled_estimate = math.fsum(w * st.estimate for w, st in zip(weights, studies)) / total_w
     pooled_se = total_w**-0.5
     z = (pooled_estimate - null_value) / pooled_se
-    p_two = _two_sided_p(z)
-    if p_two < _UNDERFLOW:
-        _, s_nats = _summary_from_chisq(1, z * z)  # identical tail, log-space
-    else:
-        s_nats = -math.log(p_two) + 0.0
+    _, s_nats = _summary_from_chisq(1, z * z)  # the two-sided normal tail
     return PooledReport(
         k=len(studies),
         pooled_estimate=pooled_estimate,
         pooled_se=pooled_se,
         z=z,
-        p_two_sided=p_two,
+        p_two_sided=_two_sided_p(z),
         s_summary=SValue(s_nats, InfoUnit.NATS),
     )
 

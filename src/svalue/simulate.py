@@ -80,12 +80,14 @@ class DistributionReport:
 
 
 def _check_alphas(alphas: Sequence[float]) -> list[float]:
+    """The distinct alpha levels in first-seen order, each checked to lie in (0, 1)."""
     out = []
     for a in alphas:
         a = float(a)
         if math.isnan(a) or not (0.0 < a < 1.0):
             raise ValueError(f"alpha levels must lie in (0, 1), got {a!r}")
-        out.append(a)
+        if a not in out:
+            out.append(a)
     return out
 
 

@@ -1,10 +1,18 @@
-"""Self-contained special functions: log-gamma, regularized incomplete gamma,
-chi-squared survival, and the standard-normal CDF/quantile pair.
+"""Self-contained special functions: log-gamma, the regularized upper
+incomplete gamma and chi-squared survival in log space, and the
+standard-normal CDF/quantile pair.
 
 Everything here is implemented from scratch (no scipy) and validated in the
-test suite against exact closed forms and brute-force quadrature. The
-incomplete gamma follows the classic split: power series for x < a + 1,
-continued fraction (modified Lentz) otherwise.
+test suite against exact closed forms, brute-force quadrature and frozen
+mpmath values. There is one incomplete-gamma kernel, and it returns ln Q, so
+deep tails stay finite; a caller that wants Q itself takes its exp. ln Gamma
+is the standard library's `math.lgamma`. The kernel follows the classic
+split: power series for x < a + 1, continued fraction (modified Lentz)
+otherwise. Near x = a both loops need about 9 sqrt(a) terms, so the iteration
+bound grows with sqrt(a). For large a the prefactor x^a e^-x / Gamma(a) is
+taken as a (ln(1 + t) - t) + ln(a / 2 pi) / 2 minus the Stirling remainder
+of ln Gamma(a), with t = x / a - 1, instead of from three terms of size
+a ln a that cancel.
 """
 
 from __future__ import annotations
@@ -14,31 +22,19 @@ from dataclasses import dataclass
 
 # Convergence policy shared by the series and continued-fraction loops:
 # stop once the running term contributes less than TERM_RATIO of the sum,
-# give up loudly after MAX_ITER iterations.
+# give up loudly after MAX_ITER + 10 sqrt(a) iterations.
 TERM_RATIO = 1e-16
 MAX_ITER = 500
 
-_LN_SQRT_2PI = 0.9189385332046727  # ln(sqrt(2*pi))
 _SQRT2 = math.sqrt(2.0)
 
-# Lanczos coefficients, g = 7, n = 9 (Godfrey's set; ~15 significant digits
-# on the positive real axis).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+# From this shape on, the prefactor is taken in the Stirling form (see the
+# module docstring); its four-term remainder series is exact to 2e-15 there.
+_STIRLING_A = 20.0
 
 
 class ConvergenceError(ArithmeticError):
-    """An iterative kernel failed to converge within MAX_ITER iterations."""
+    """An iterative kernel failed to converge within its iteration bound."""
 
 
 @dataclass(frozen=True)
@@ -55,36 +51,51 @@ class ChiSquare:
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0 (Lanczos approximation)."""
+    """Natural log of the gamma function for x > 0."""
     if not (x > 0.0) or math.isinf(x) or math.isnan(x):
         raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        # Reflection: ln Gamma(x) = ln(pi / sin(pi x)) - ln Gamma(1 - x).
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
-def _lower_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by power series (x < a + 1)."""
+def _log_prefactor(a: float, x: float) -> float:
+    """ln(x^a e^-x / Gamma(a)) for x > 0."""
+    if a < _STIRLING_A:
+        return -x + a * math.log(x) - math.lgamma(a)
+    t = (x - a) / a
+    if abs(t) < 0.5:
+        # ln(1 + t) - t = r (2 y (1/3 + y/5 + y^2/7 + ...) - t) with r = t / (2 + t)
+        # and y = r^2 < 1/9, so 16 terms suffice and nothing cancels near t = 0.
+        r = t / (2.0 + t)
+        y = r * r
+        acc = 0.0
+        for k in range(33, 1, -2):
+            acc = acc * y + 1.0 / k
+        log1pmx = r * (2.0 * y * acc - t)
+    elif t > 0.0:
+        log1pmx = math.log1p(t) - t
+    else:
+        log1pmx = math.log(x) - math.log(a) - t
+    inv2 = 1.0 / (a * a)
+    stirling_tail = (1.0 / 12 - inv2 * (1.0 / 360 - inv2 * (1.0 / 1260 - inv2 / 1680))) / a
+    return a * log1pmx + 0.5 * math.log(a / (2.0 * math.pi)) - stirling_tail
+
+
+def _lower_series(a: float, x: float, max_iter: int) -> float:
+    """Series sum s with P(a, x) = exp(_log_prefactor(a, x)) * s (x < a + 1)."""
     ap = a
     term = 1.0 / a
     total = term
-    for _ in range(MAX_ITER):
+    for _ in range(max_iter):
         ap += 1.0
         term *= x / ap
         total += term
         if abs(term) < abs(total) * TERM_RATIO:
-            return total * math.exp(-x + a * math.log(x) - log_gamma(a))
+            return total
     raise ConvergenceError(f"incomplete gamma series did not converge (a={a}, x={x})")
 
 
-def _upper_cf_factor(a: float, x: float) -> float:
-    """Continued-fraction factor h with Q(a, x) = exp(-x + a ln x - lnG(a)) * h.
+def _upper_cf_factor(a: float, x: float, max_iter: int) -> float:
+    """Continued-fraction factor h with Q(a, x) = exp(_log_prefactor(a, x)) * h.
 
     Modified Lentz iteration (x >= a + 1 region).
     """
@@ -93,7 +104,7 @@ def _upper_cf_factor(a: float, x: float) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, MAX_ITER + 1):
+    for i in range(1, max_iter + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -114,51 +125,23 @@ def _upper_cf_factor(a: float, x: float) -> float:
     )
 
 
-def _check_gamma_domain(a: float, x: float) -> None:
+def log_reg_gamma_upper(a: float, x: float) -> float:
+    """ln Q(a, x), Q(a, x) = Gamma(a, x) / Gamma(a), finite however deep the tail."""
     if not (a > 0.0) or math.isnan(a) or math.isinf(a):
         raise ValueError(f"shape parameter must be > 0, got {a!r}")
     if not (x >= 0.0) or math.isnan(x):
         raise ValueError(f"argument must be >= 0, got {x!r}")
-
-
-def reg_gamma_upper(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a)."""
-    _check_gamma_domain(a, x)
-    if x == 0.0:
-        return 1.0
-    if math.isinf(x):
-        return 0.0
-    if x < a + 1.0:
-        return 1.0 - _lower_series(a, x)
-    logpref = -x + a * math.log(x) - log_gamma(a)
-    return math.exp(logpref) * _upper_cf_factor(a, x)
-
-
-def log_reg_gamma_upper(a: float, x: float) -> float:
-    """ln Q(a, x), evaluated in log space so deep tails stay finite.
-
-    In the continued-fraction region the prefactor exponent is kept in logs,
-    which is what lets callers report surprisals for P-values far below the
-    smallest positive double.
-    """
-    _check_gamma_domain(a, x)
     if x == 0.0:
         return 0.0
     if math.isinf(x):
         return -math.inf
+    max_iter = MAX_ITER + int(10.0 * math.sqrt(a))
+    log_pref = _log_prefactor(a, x)
     if x < a + 1.0:
         # Q is bounded away from 0 here, so log1p of the series result is exact
         # enough.
-        return math.log1p(-_lower_series(a, x))
-    logpref = -x + a * math.log(x) - log_gamma(a)
-    return logpref + math.log(_upper_cf_factor(a, x))
-
-
-def chisq_survival(dist: ChiSquare, x: float) -> float:
-    """Pr(X > x) for X ~ chi-squared with dist.df degrees of freedom."""
-    if not (x >= 0.0) or math.isnan(x):
-        raise ValueError(f"chi-squared statistic must be >= 0, got {x!r}")
-    return reg_gamma_upper(dist.df / 2.0, x / 2.0)
+        return math.log1p(-math.exp(log_pref) * _lower_series(a, x, max_iter))
+    return log_pref + math.log(_upper_cf_factor(a, x, max_iter))
 
 
 def log_chisq_survival(dist: ChiSquare, x: float) -> float:

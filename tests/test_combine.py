@@ -78,6 +78,15 @@ class TestSSummation:
         assert rep.s_summary.value > 800.0
         assert rep.shrinkage_nats > 0.0
 
+    def test_many_studies_at_the_null(self):
+        # 5000 studies at p = e^-1: 2 s_plus = 10000 on 10000 df, so s_summary is
+        # -ln Q(5000, 5000); mpmath 1.3.0, 50 digits
+        rep = s_summation_test(p_studies(*([math.exp(-1.0)] * 5000)))
+        assert rep.s_plus.value == 5000.0
+        assert rep.s_summary.value == pytest.approx(
+            0.6969155399835635427499172458938962781758151554215, rel=1e-13
+        )
+
     def test_order_invariance(self):
         a = s_summation_test(p_studies(0.01, 0.2, 0.7))
         b = s_summation_test(p_studies(0.7, 0.01, 0.2))
@@ -134,6 +143,14 @@ class TestZSquared:
         assert rep.statistic == pytest.approx(6.25, rel=1e-14)
         assert rep.p_summary == pytest.approx(math.exp(-3.125), rel=1e-12)
         assert rep.df == 2
+
+    def test_many_unit_scores(self):
+        # statistic 1e5 on 1e5 df: s_summary is -ln Q(50000, 50000); mpmath 1.3.0,
+        # 50 digits
+        rep = z_squared_test([1.0] * 100_000)
+        assert rep.s_summary.value == pytest.approx(
+            0.69433730468638594078355012274172555528268757681283, rel=1e-13
+        )
 
     def test_df_caveat_is_reported(self):
         assert "cross-study" in z_squared_test([1.0]).df_caveat

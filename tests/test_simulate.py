@@ -73,6 +73,12 @@ class TestSimulateUniformP:
         assert s.low_n
         assert math.isnan(s.se_of_mean)
 
+    def test_duplicate_alphas_count_once(self):
+        # 3 of these 10 draws fall at or below 0.05, a violation at that level
+        s = simulate_uniform_p(10, RngSpec(20), [0.05, 0.05])
+        assert s.empirical_type1 == {0.05: 0.3}
+        assert s.dominance_violations == 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate_uniform_p(0, RngSpec(0), [0.5])

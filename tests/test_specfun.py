@@ -7,13 +7,11 @@ import pytest
 
 from svalue.specfun import (
     ChiSquare,
-    chisq_survival,
     log_chisq_survival,
     log_gamma,
     log_reg_gamma_upper,
     normal_cdf,
     normal_quantile,
-    reg_gamma_upper,
 )
 
 from oracles import chisq_survival_by_quadrature, chisq_survival_closed_form_even
@@ -49,18 +47,39 @@ class TestLogGamma:
             log_gamma(bad)
 
 
+# ln Q(a, x) near x = a for large a: mpmath 1.3.0 at 90 digits (gammainc, lower
+# form below x = a), rounded to 50. The loops need ~9 sqrt(a) terms here, and
+# the prefactor's terms of size a ln a cancel.
+LOG_Q_LARGE_A = {
+    (5000.0, 4950.0): -0.27506851136580695489409594415954911338669486601301,
+    (5000.0, 5000.0): -0.6969155399835635427499172458938962781758151554215,
+    (5000.0, 5050.0): -1.4312276067625471021089698977333386075932800159778,
+    (50000.0, 49500.0): -0.012556823600440990854522806155618353398457729492105,
+    (50000.0, 50000.0): -0.69433730468638594078355012274172555528268757681283,
+    (50000.0, 50500.0): -4.3529463642126476337034854082797605644361497199061,
+    (500000.0, 495000.0): -6.5001711800879502791582936914541105221957188967102e-13,
+    (500000.0, 500000.0): -0.69352337770643015067220255111095705432555967457573,
+    (500000.0, 505000.0): -27.728796160458735457243163067354704730275768083671,
+    (5000000.0, 4950000.0): -8.8644602711023137375954374079585345125211493113489e-112,
+    (5000000.0, 5000000.0): -0.69326612924193497002132127157116366712252285730637,
+    (5000000.0, 5050000.0): -252.37398669756333412691426001330303498708753294806,
+}
+
+
 class TestRegGammaUpper:
     def test_at_zero(self):
-        assert reg_gamma_upper(1.0, 0.0) == 1.0
-        assert reg_gamma_upper(7.3, 0.0) == 1.0
+        assert math.exp(log_reg_gamma_upper(1.0, 0.0)) == 1.0
+        assert math.exp(log_reg_gamma_upper(7.3, 0.0)) == 1.0
 
     def test_exponential_case(self):
         # Q(1, x) = exp(-x)
-        assert reg_gamma_upper(1.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
+        q = math.exp(log_reg_gamma_upper(1.0, 2.0))
+        assert q == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_integer_shape_closed_form(self):
         # Q(2, 3) = (1 + 3) e^-3
-        assert reg_gamma_upper(2.0, 3.0) == pytest.approx(4.0 * math.exp(-3.0), rel=1e-12)
+        q = math.exp(log_reg_gamma_upper(2.0, 3.0))
+        assert q == pytest.approx(4.0 * math.exp(-3.0), rel=1e-12)
 
     def test_integer_shape_poisson_sum(self):
         for a in (1, 2, 3, 5, 10):
@@ -69,7 +88,7 @@ class TestRegGammaUpper:
                 for j in range(1, a):
                     term *= x / j
                     acc += term
-                assert reg_gamma_upper(float(a), x) == pytest.approx(
+                assert math.exp(log_reg_gamma_upper(float(a), x)) == pytest.approx(
                     math.exp(-x) * acc, rel=1e-12
                 )
 
@@ -77,18 +96,12 @@ class TestRegGammaUpper:
         rng = np.random.default_rng(11)
         for a in (0.5, 1.5, 4.0, 20.0):
             xs = np.sort(rng.uniform(0.0, 60.0, size=50))
-            vals = [reg_gamma_upper(a, float(x)) for x in xs]
+            vals = [math.exp(log_reg_gamma_upper(a, float(x))) for x in xs]
             assert all(u > v for u, v in zip(vals, vals[1:]))
 
     def test_limits(self):
-        assert reg_gamma_upper(3.0, 1e4) < 1e-200
-        assert reg_gamma_upper(3.0, 1e-12) == pytest.approx(1.0, abs=1e-10)
-
-    def test_log_version_consistent(self):
-        for a in (0.5, 1.0, 2.5, 10.0):
-            for x in (0.2, 1.0, 3.0, 12.0, 80.0):
-                q = reg_gamma_upper(a, x)
-                assert math.exp(log_reg_gamma_upper(a, x)) == pytest.approx(q, rel=1e-12)
+        assert math.exp(log_reg_gamma_upper(3.0, 1e4)) < 1e-200
+        assert math.exp(log_reg_gamma_upper(3.0, 1e-12)) == pytest.approx(1.0, abs=1e-10)
 
     def test_log_version_deep_tail(self):
         # mpmath (40 digits): log Q(2, 1500)
@@ -96,10 +109,14 @@ class TestRegGammaUpper:
             -1492.6861131683665, rel=1e-13
         )
 
+    @pytest.mark.parametrize("a,x", sorted(LOG_Q_LARGE_A))
+    def test_large_shape_matches_mpmath(self, a, x):
+        assert log_reg_gamma_upper(a, x) == pytest.approx(LOG_Q_LARGE_A[(a, x)], rel=1e-13)
+
     @pytest.mark.parametrize("a,x", [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.nan)])
     def test_domain(self, a, x):
         with pytest.raises(ValueError):
-            reg_gamma_upper(a, x)
+            log_reg_gamma_upper(a, x)
 
 
 class TestChiSquare:
@@ -112,30 +129,32 @@ class TestChiSquare:
             ChiSquare(2.0)  # non-integer df is out of scope
 
     def test_survival_at_zero(self):
-        assert chisq_survival(ChiSquare(2), 0.0) == 1.0
+        assert math.exp(log_chisq_survival(ChiSquare(2), 0.0)) == 1.0
 
     def test_two_df_exponential(self):
         x = -2.0 * math.log(0.05)
-        assert chisq_survival(ChiSquare(2), x) == pytest.approx(0.05, rel=1e-12)
+        p = math.exp(log_chisq_survival(ChiSquare(2), x))
+        assert p == pytest.approx(0.05, rel=1e-12)
 
     def test_four_df_closed_form_anchor(self):
         # (1 + x/2) exp(-x/2) at x = 11.983
         x = 11.983
         expected = (1.0 + x / 2.0) * math.exp(-x / 2.0)
         assert expected == pytest.approx(0.017478130338748097, rel=1e-12)  # mpmath
-        assert chisq_survival(ChiSquare(4), x) == pytest.approx(expected, rel=1e-12)
+        p = math.exp(log_chisq_survival(ChiSquare(4), x))
+        assert p == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("df", [2, 4, 8, 20])
     @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 10.0, 50.0])
     def test_even_df_matches_closed_form(self, df, x):
-        assert chisq_survival(ChiSquare(df), x) == pytest.approx(
+        assert math.exp(log_chisq_survival(ChiSquare(df), x)) == pytest.approx(
             chisq_survival_closed_form_even(df, x), rel=1e-12
         )
 
     @pytest.mark.parametrize("df", [1, 3, 5])
     @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 10.0, 50.0])
     def test_odd_df_matches_quadrature(self, df, x):
-        assert chisq_survival(ChiSquare(df), x) == pytest.approx(
+        assert math.exp(log_chisq_survival(ChiSquare(df), x)) == pytest.approx(
             chisq_survival_by_quadrature(df, x), abs=1e-8
         )
 
@@ -146,7 +165,7 @@ class TestChiSquare:
 
     def test_negative_statistic_rejected(self):
         with pytest.raises(ValueError):
-            chisq_survival(ChiSquare(2), -1.0)
+            log_chisq_survival(ChiSquare(2), -1.0)
 
 
 class TestNormalCdf:
