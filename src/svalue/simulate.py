@@ -8,6 +8,9 @@ surprisal reads as minimum information. This module checks all of that by
 simulation, plus the e-value condition E[-ln P] <= 1 and a one-sample
 Kolmogorov-Smirnov fit report.
 
+numpy is imported on first use, by the functions that draw or sort samples,
+so `import svalue` and the CLI's other subcommands never load it.
+
 Reproducibility contract: draws come from numpy's PCG64 bit generator seeded
 with SeedSequence(entropy=seed, spawn_key=(stream,)). The same (seed, stream)
 pair yields bit-identical sequences across runs and platforms; parallel
@@ -20,8 +23,10 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 LOW_N = 1000  # below this, summary statistics are flagged as unreliable
 KS_CRITICAL_COEF = 1.63  # asymptotic one-sample KS critical value at the 1% level
@@ -42,6 +47,7 @@ class RngSpec:
                 raise ValueError(f"{name} must be an integer in [0, 2^64), got {v!r}")
 
     def generator(self) -> np.random.Generator:
+        import numpy as np
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.PCG64(seq))
 
@@ -92,6 +98,7 @@ def _check_alphas(alphas: Sequence[float]) -> list[float]:
 
 
 def _summarize(p: np.ndarray, alphas: list[float]) -> SimulationSummary:
+    import numpy as np
     n = p.size
     s_nats = -np.log(p)
     mean_nats = float(s_nats.mean())
@@ -122,6 +129,7 @@ def _null_pvalues(
     theta0: float | None = None,
 ) -> np.ndarray:
     """n P-values drawn under the null of the uniform or exact-binomial generator."""
+    import numpy as np
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"replicate count must be a positive integer, got {n!r}")
     if generator == "uniform":
@@ -150,8 +158,9 @@ def simulate_uniform_p(
 def binomial_upper_tail_pvalues(trials: int, theta0: float) -> list[float]:
     """Exact one-sided upper-tail P-values Pr(X >= x) for x = 0 .. trials.
 
-    Direct summation of exact binomial probabilities, smallest terms first;
-    no normal approximation anywhere.
+    Direct summation of exact binomial probabilities from x = trials
+    downward, so the smallest terms come first only beyond the mode; no
+    normal approximation anywhere.
     """
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -233,6 +242,7 @@ def distribution_report(samples, reference: str) -> DistributionReport:
     reference is "exponential_1" or "uniform_01"; passes when the KS statistic
     stays under the asymptotic 1% critical value 1.63 / sqrt(n).
     """
+    import numpy as np
     data = np.sort(np.asarray(samples, dtype=float))
     n = data.size
     if n < 100:

@@ -159,7 +159,7 @@ def normal_cdf(z: float) -> float:
 
 
 # Acklam's rational approximation to the standard-normal quantile
-# (|error| < 1.15e-9 over (0, 1)), refined below by one Halley step.
+# (|error| < 1.15e-9), evaluated on (0, 1/2] and refined below by one Halley step.
 _ACKLAM_A = (
     -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
     1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
@@ -185,10 +185,6 @@ def _acklam(q: float) -> float:
         u = math.sqrt(-2.0 * math.log(q))
         return (((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / \
             ((((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0)
-    if q > 1.0 - _ACKLAM_P_LOW:
-        u = math.sqrt(-2.0 * math.log(1.0 - q))
-        return -(((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / \
-            ((((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0)
     u = q - 0.5
     r = u * u
     return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * u / \
@@ -200,10 +196,14 @@ def normal_quantile(q: float) -> float:
 
     Rational initial guess (Acklam) plus one Halley refinement against
     normal_cdf, giving ~1e-15 absolute error in the central range and a
-    round-trip through normal_cdf well inside 1e-9.
+    round-trip through normal_cdf well inside 1e-9. The upper half is taken
+    by symmetry, -normal_quantile(1 - q), where 1 - q is exact (Sterbenz)
+    and the refinement does not cancel.
     """
     if math.isnan(q) or not (0.0 < q < 1.0):
         raise ValueError(f"normal_quantile requires 0 < q < 1, got {q!r}")
+    if q > 0.5:
+        return -normal_quantile(1.0 - q)
     z = _acklam(q)
     # Halley step: e = Phi(z) - q, u = e / phi(z), z <- z - u / (1 + z u / 2).
     # Skipped where exp(z^2 / 2) would overflow; the initial guess is already

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -297,6 +300,43 @@ class TestUnitOption:
             main([*argv, "--unit", "nats"])
         assert exc.value.code == 2
         assert "--unit" in capsys.readouterr().err
+
+
+# Runs in a fresh interpreter, because this one has numpy loaded already.
+NUMPY_FREE_SCRIPT = """
+import json, sys
+import svalue
+assert "numpy" not in sys.modules, "import svalue loaded numpy"
+import svalue.cli
+assert "numpy" not in sys.modules, "import svalue.cli loaded numpy"
+sys.modules["numpy"] = None  # any later `import numpy` raises ModuleNotFoundError
+for argv in json.loads(sys.argv[1]):
+    code = svalue.cli.main(argv)
+    assert code == 0, (argv, code)
+try:
+    svalue.cli.main(["simulate", "--n", "10"])
+except ModuleNotFoundError:
+    pass
+else:
+    raise AssertionError("simulate ran without numpy; the block is not in effect")
+"""
+
+
+def test_non_simulate_subcommands_run_without_numpy(p_csv):
+    argvs = [
+        ["convert", "--p", "0.05"],
+        ["calibrate", "--p", "0.01"],
+        ["combine", "--input", p_csv, "--method", "s-sum"],
+        ["curve", "--estimate", "1.2", "--se", "0.5", "--from", "1.0", "--to", "1.4",
+         "--steps", "3"],
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_SCRIPT, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # Exact stdout, stderr and exit code of every subcommand in every format.

@@ -201,6 +201,18 @@ class TestNormalQuantile:
         assert normal_quantile(0.95) == pytest.approx(1.6448536269514722, abs=1e-9)
         assert normal_quantile(0.975) == pytest.approx(1.959963984540054, abs=1e-9)
 
+    # Phi^-1 at the double q (mpmath 1.3.0 at 50 digits, sqrt(2) erfinv(2q - 1)).
+    # Near q = 1 the double matters: at 1 - 1e-12, half an ulp of q moves z by ~8e-6.
+    @pytest.mark.parametrize("q, z", [
+        (0.6, "0.2533471031357997413246886917717454089496"),
+        (0.975, "1.959963984540053855604430649826643177289"),
+        (0.999, "3.090232306167813277758202332560201571727"),
+        (1 - 1e-6, "4.753424308817087765688097030681644974475"),
+        (1 - 1e-12, "7.034486910047835205692400568554849465713"),
+    ])
+    def test_upper_half_matches_mpmath(self, q, z):
+        assert normal_quantile(q) == pytest.approx(float(z), rel=1e-14)
+
     def test_round_trip_through_cdf(self):
         qs = np.concatenate(
             [
