@@ -1,22 +1,23 @@
-"""Self-contained special functions: log-gamma, the regularized upper
-incomplete gamma and chi-squared survival in log space, and the
-standard-normal CDF/quantile pair.
+"""Special functions: log-gamma, the regularized upper incomplete gamma and
+chi-squared survival in log space, and the standard-normal CDF/quantile pair.
 
-Everything here is implemented from scratch (no scipy) and validated in the
-test suite against exact closed forms, brute-force quadrature and frozen
-mpmath values. There is one incomplete-gamma kernel, and it returns ln Q, so
-deep tails stay finite; a caller that wants Q itself takes its exp. ln Gamma
-is the standard library's `math.lgamma`. The kernel follows the classic
-split: power series for x < a + 1, continued fraction (modified Lentz)
-otherwise. Near x = a both loops need about 9 sqrt(a) terms, so the iteration
-bound grows with sqrt(a). For large a the prefactor x^a e^-x / Gamma(a) is
-taken as a (ln(1 + t) - t) + ln(a / 2 pi) / 2 minus the Stirling remainder
-of ln Gamma(a), with t = x / a - 1, instead of from three terms of size
-a ln a that cancel.
+There is no scipy dependency. ln Gamma is the standard library's
+`math.lgamma`, the normal CDF is `math.erfc`, and the normal quantile is
+`statistics.NormalDist.inv_cdf` (Wichura's AS 241). The incomplete-gamma
+kernel is implemented here and validated in the test suite against exact
+closed forms, brute-force quadrature and frozen mpmath values. It returns
+ln Q, so deep tails stay finite; a caller that wants Q itself takes its exp.
+The kernel follows the classic split: power series for x < a + 1, continued
+fraction (modified Lentz) otherwise. Near x = a both loops need about
+9 sqrt(a) terms, so the iteration bound grows with sqrt(a). For large a the
+prefactor x^a e^-x / Gamma(a) is taken as a (ln(1 + t) - t) + ln(a / 2 pi) / 2
+minus the Stirling remainder of ln Gamma(a), with t = x / a - 1, instead of
+from three terms of size a ln a that cancel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -158,58 +159,21 @@ def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-# Acklam's rational approximation to the standard-normal quantile
-# (|error| < 1.15e-9), evaluated on (0, 1/2] and refined below by one Halley step.
-_ACKLAM_A = (
-    -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-    6.680131188771972e+01, -1.328068155288572e+01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-    -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-    3.754408661907416e+00,
-)
-_ACKLAM_P_LOW = 0.02425
+@functools.cache
+def _standard_normal():
+    """NormalDist(), built on first use: importing `statistics` is slow."""
+    from statistics import NormalDist
 
-
-def _acklam(q: float) -> float:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if q < _ACKLAM_P_LOW:
-        u = math.sqrt(-2.0 * math.log(q))
-        return (((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / \
-            ((((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0)
-    u = q - 0.5
-    r = u * u
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * u / \
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    return NormalDist()
 
 
 def normal_quantile(q: float) -> float:
     """Inverse standard-normal CDF on the open interval (0, 1).
 
-    Rational initial guess (Acklam) plus one Halley refinement against
-    normal_cdf, giving ~1e-15 absolute error in the central range and a
-    round-trip through normal_cdf well inside 1e-9. The upper half is taken
-    by symmetry, -normal_quantile(1 - q), where 1 - q is exact (Sterbenz)
-    and the refinement does not cancel.
+    `statistics.NormalDist.inv_cdf`: Wichura's AS 241 (Applied Statistics 37
+    (1988) 477-484), a few ulps from exact on all of (0, 1), subnormal q
+    included. `statistics` is imported on the first call.
     """
     if math.isnan(q) or not (0.0 < q < 1.0):
         raise ValueError(f"normal_quantile requires 0 < q < 1, got {q!r}")
-    if q > 0.5:
-        return -normal_quantile(1.0 - q)
-    z = _acklam(q)
-    # Halley step: e = Phi(z) - q, u = e / phi(z), z <- z - u / (1 + z u / 2).
-    # Skipped where exp(z^2 / 2) would overflow; the initial guess is already
-    # within 1.15e-9 there.
-    if z * z < 1400.0:
-        e = normal_cdf(z) - q
-        u = e * math.sqrt(2.0 * math.pi) * math.exp(z * z / 2.0)
-        z = z - u / (1.0 + z * u / 2.0)
-    return z
+    return _standard_normal().inv_cdf(q)

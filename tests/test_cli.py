@@ -309,6 +309,7 @@ import svalue
 assert "numpy" not in sys.modules, "import svalue loaded numpy"
 import svalue.cli
 assert "numpy" not in sys.modules, "import svalue.cli loaded numpy"
+assert "statistics" not in sys.modules, "import svalue.cli loaded statistics"
 sys.modules["numpy"] = None  # any later `import numpy` raises ModuleNotFoundError
 for argv in json.loads(sys.argv[1]):
     code = svalue.cli.main(argv)

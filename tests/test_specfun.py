@@ -213,6 +213,20 @@ class TestNormalQuantile:
     def test_upper_half_matches_mpmath(self, q, z):
         assert normal_quantile(q) == pytest.approx(float(z), rel=1e-14)
 
+    # Next to q = 1/2, where z is tiny, and at subnormal q (mpmath 1.3.0: the
+    # erfinv form above; below 1e-300 a 60-digit root of ln Phi(z) = ln q).
+    @pytest.mark.parametrize("q, z", [
+        (0.4999999, "-2.50662827470310651349781558790643486177e-7"),
+        (0.4999, "-2.506628300880074923888500767004841497067e-4"),
+        (0.5000001, "2.50662827331164830116188841284051839232e-7"),
+        (1e-310, "-37.6630603319495237318909804982480223234"),
+        (1e-320, "-38.26912534303265101818100635964230833465"),
+        (5e-324, "-38.46740561714434625078436216846152368242"),
+    ])
+    def test_center_and_subnormal_match_mpmath(self, q, z):
+        # abs=0: approx's default abs=1e-12 would pin z = 2.5e-7 to rel 4e-6 only.
+        assert normal_quantile(q) == pytest.approx(float(z), rel=1e-14, abs=0)
+
     def test_round_trip_through_cdf(self):
         qs = np.concatenate(
             [
