@@ -29,7 +29,7 @@ from .combine import (
     studies_from_csv,
     z_squared_test,
 )
-from .curves import CurvePoint, EstimateSpec, curve, p_lower, s_upper_complement
+from .curves import CurvePoint, EstimateSpec, curve, curve_point
 from .simulate import (
     DistributionReport,
     EValueCheck,
@@ -92,6 +92,7 @@ __all__ = [
     "compare_methods",
     "convert",
     "curve",
+    "curve_point",
     "deviance_and_aic",
     "distribution_report",
     "evalue_check",
@@ -103,10 +104,8 @@ __all__ = [
     "mlr_normal_1df",
     "normal_cdf",
     "normal_quantile",
-    "p_lower",
     "pooled_homogeneity_test",
     "s_summation_test",
-    "s_upper_complement",
     "simulate_exact_binomial",
     "simulate_uniform_p",
     "studies_from_csv",

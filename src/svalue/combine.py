@@ -151,8 +151,11 @@ def s_summation_test(studies: list[StudyResult]) -> CombinationReport:
     bad = [st.id for st in studies if not st.has_p]
     if bad:
         raise ValueError(f"s_summation_test needs P-value evidence; studies {bad} carry effects")
-    k = len(studies)
-    s_plus = sum(-math.log(st.p.value) for st in studies) + 0.0
+    return _s_summation(len(studies), sum(-math.log(st.p.value) for st in studies) + 0.0)
+
+
+def _s_summation(k: int, s_plus: float) -> CombinationReport:
+    """The S-summation report for K studies whose surprisals sum to s_plus nats."""
     p_summary, s_summary = _summary_from_chisq(2 * k, 2.0 * s_plus)
     return CombinationReport(
         k=k,
@@ -203,10 +206,12 @@ def pooled_homogeneity_test(
         raise ValueError(
             f"pooled_homogeneity_test needs effect-form evidence; studies {bad} carry P-values"
         )
-    weights = [1.0 / (st.std_error**2) for st in studies]
+    # Weights relative to the smallest std error neither underflow nor overflow.
+    se_min = min(st.std_error for st in studies)
+    weights = [(se_min / st.std_error) ** 2 for st in studies]
     total_w = math.fsum(weights)
     pooled_estimate = math.fsum(w * st.estimate for w, st in zip(weights, studies)) / total_w
-    pooled_se = total_w**-0.5
+    pooled_se = se_min / math.sqrt(total_w)
     z = (pooled_estimate - null_value) / pooled_se
     _, s_nats = _summary_from_chisq(1, z * z)  # the two-sided normal tail
     return PooledReport(
@@ -228,11 +233,10 @@ def compare_methods(
     (estimate - null) / std_error.
     """
     pooled = pooled_homogeneity_test(studies, null_value)
-    as_p = [
-        StudyResult(id=st.id, p=PValue(_two_sided_p((st.estimate - null_value) / st.std_error)))
-        for st in studies
-    ]
-    fisher = s_summation_test(as_p)
+    s_plus = sum(
+        -math.log(_two_sided_p((st.estimate - null_value) / st.std_error)) for st in studies
+    )
+    fisher = _s_summation(len(studies), s_plus + 0.0)
     s_fisher = fisher.s_summary.value
     s_pooled = pooled.s_summary.value
     return MethodComparison(

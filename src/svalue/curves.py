@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .specfun import normal_cdf
-from .units import InfoUnit, PValue, SValue, surprisal
+from .units import InfoUnit, SValue
 
 
 @dataclass(frozen=True)
@@ -40,21 +40,20 @@ class CurvePoint:
     s_two: SValue
 
 
-def p_lower(spec: EstimateSpec, mu1: float) -> float:
-    """One-sided P-value Phi((m - mu1) / se) for the hypothesis mu >= mu1."""
-    return normal_cdf((spec.estimate - mu1) / spec.std_error)
-
-
-def s_upper_complement(
-    spec: EstimateSpec, mu1: float, unit: InfoUnit = InfoUnit.BITS
-) -> SValue:
-    """Surprisal of p(mu <= mu1) = 1 - p(mu >= mu1), in the requested unit.
-
-    Rises and falls together with p_lower: the larger the one-sided P-value
-    for mu >= mu1, the more information there is against mu <= mu1.
-    """
-    p_le = normal_cdf((mu1 - spec.estimate) / spec.std_error)
-    return surprisal(PValue(p_le), unit)
+def curve_point(spec: EstimateSpec, mu1: float, unit: InfoUnit = InfoUnit.BITS) -> CurvePoint:
+    """The one-sided and two-sided P-/S-values at one hypothesized value mu1."""
+    t = (spec.estimate - mu1) / spec.std_error
+    k = unit.nats_per_unit
+    p_le = normal_cdf(-t)
+    p_two = 2.0 * normal_cdf(-abs(t))
+    return CurvePoint(
+        mu1=mu1,
+        p_ge=normal_cdf(t),
+        p_le=p_le,
+        s_le=SValue(-math.log(p_le) / k, unit),
+        p_two=p_two,
+        s_two=SValue(-math.log(p_two) / k, unit),
+    )
 
 
 def curve(
@@ -73,21 +72,7 @@ def curve(
     if not (from_ < to):
         raise ValueError(f"grid requires from < to, got [{from_}, {to}]")
     width = to - from_
-    points = []
-    for i in range(steps):
-        mu1 = to if i == steps - 1 else from_ + width * i / (steps - 1)
-        t = (spec.estimate - mu1) / spec.std_error
-        p_ge = normal_cdf(t)
-        p_le = normal_cdf(-t)
-        p_two = 2.0 * normal_cdf(-abs(t))
-        points.append(
-            CurvePoint(
-                mu1=mu1,
-                p_ge=p_ge,
-                p_le=p_le,
-                s_le=surprisal(PValue(p_le), unit),
-                p_two=p_two,
-                s_two=surprisal(PValue(p_two), unit),
-            )
-        )
-    return points
+    return [
+        curve_point(spec, to if i == steps - 1 else from_ + width * i / (steps - 1), unit)
+        for i in range(steps)
+    ]

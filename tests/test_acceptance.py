@@ -8,7 +8,7 @@ import pytest
 
 from svalue.calibrate import calibration_report
 from svalue.combine import StudyResult, s_summation_test
-from svalue.curves import EstimateSpec, curve, p_lower, s_upper_complement
+from svalue.curves import EstimateSpec, curve, curve_point
 from svalue.simulate import (
     RngSpec,
     distribution_report,
@@ -167,8 +167,8 @@ def test_criterion_09_special_function_oracles():
 def test_criterion_10_curve_properties():
     spec = EstimateSpec(1.2, 0.5)
     grid = np.linspace(spec.estimate - 3.0, spec.estimate + 3.0, 1000)
-    pl = [p_lower(spec, float(m)) for m in grid]
-    su = [s_upper_complement(spec, float(m)).value for m in grid]
+    pl = [curve_point(spec, float(m)).p_ge for m in grid]
+    su = [curve_point(spec, float(m)).s_le.value for m in grid]
     strict = all(a > b for a, b in zip(pl, pl[1:])) and all(
         a > b for a, b in zip(su, su[1:])
     )
@@ -176,8 +176,8 @@ def test_criterion_10_curve_properties():
         abs(pt.p_ge + pt.p_le - 1.0) <= 1e-12
         for pt in curve(spec, spec.estimate - 3.0, spec.estimate + 3.0, 101)
     )
-    p_ge = p_lower(spec, 1.0)
-    s_le = s_upper_complement(spec, 1.0).value
+    p_ge = curve_point(spec, 1.0).p_ge
+    s_le = curve_point(spec, 1.0).s_le.value
     worked = abs(p_ge - 0.6554) <= 1e-4 and abs(s_le - 1.537) <= 0.001
     check(
         10,

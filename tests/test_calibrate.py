@@ -18,12 +18,12 @@ from svalue.units import PValue
 class TestMlrNormal1df:
     def test_anchor_p05(self):
         # exp(z^2/2) with z = Phi^-1(0.975); mpmath 40 digits
-        assert mlr_normal_1df(PValue(0.05)) == pytest.approx(6.825935561925903, rel=1e-10)
+        assert mlr_normal_1df(PValue(0.05)) == pytest.approx(6.825935561925903, rel=1e-10, abs=0)
 
     def test_exact_two_sigma(self):
         # p chosen so the two-sided deviate is exactly 2; MLR = e^2
         p = 0.04550026389635842
-        assert mlr_normal_1df(PValue(p)) == pytest.approx(math.exp(2.0), rel=1e-9)
+        assert mlr_normal_1df(PValue(p)) == pytest.approx(math.exp(2.0), rel=1e-9, abs=0)
 
     def test_rounded_two_sigma(self):
         assert mlr_normal_1df(PValue(0.0455)) == pytest.approx(7.389, abs=1e-3)
@@ -48,12 +48,12 @@ class TestDevianceAndAic:
 
     def test_p05_values(self):
         dev, aic = deviance_and_aic(6.825935561925903, 1)
-        assert dev == pytest.approx(3.841458820694124, rel=1e-10)  # z^2 at z=1.95996...
-        assert aic == pytest.approx(1.841458820694124, rel=1e-9)
+        assert dev == pytest.approx(3.841458820694124, rel=1e-10, abs=0)  # z^2 at z=1.95996...
+        assert aic == pytest.approx(1.841458820694124, rel=1e-9, abs=0)
 
     def test_mlr_e(self):
         dev, aic = deviance_and_aic(math.e, 1)
-        assert dev == pytest.approx(2.0, rel=1e-14)
+        assert dev == pytest.approx(2.0, rel=1e-14, abs=0)
         assert aic == pytest.approx(0.0, abs=1e-14)
 
     def test_dimension_scales_aic(self):
@@ -80,14 +80,14 @@ class TestDevianceAndAic:
 class TestBayesFactorBound:
     def test_anchor_p05(self):
         b, odds, cond = bayes_factor_bound(PValue(0.05))
-        assert b == pytest.approx(0.40716223010650577, rel=1e-12)  # mpmath
-        assert odds == pytest.approx(2.456023486604883, rel=1e-12)
-        assert cond == pytest.approx(0.2893498854611016, rel=1e-12)
+        assert b == pytest.approx(0.40716223010650577, rel=1e-12, abs=0)  # mpmath
+        assert odds == pytest.approx(2.456023486604883, rel=1e-12, abs=0)
+        assert cond == pytest.approx(0.2893498854611016, rel=1e-12, abs=0)
 
     def test_p10(self):
         b, odds, _ = bayes_factor_bound(PValue(0.10))
-        assert b == pytest.approx(0.6259075216766395, rel=1e-12)  # mpmath
-        assert odds == pytest.approx(1.5976801130640935, rel=1e-12)
+        assert b == pytest.approx(0.6259075216766395, rel=1e-12, abs=0)  # mpmath
+        assert odds == pytest.approx(1.5976801130640935, rel=1e-12, abs=0)
 
     def test_boundary_limit(self):
         b, odds, cond = bayes_factor_bound(PValue(BF_BOUND_MAX_P - 1e-9))
@@ -123,12 +123,12 @@ class TestBayesFactorBound:
 class TestCalibrationReport:
     def test_full_report(self):
         rep = calibration_report(PValue(0.05), 1)
-        assert rep.mlr == pytest.approx(6.825935561925903, rel=1e-10)
-        assert rep.deviance == pytest.approx(2.0 * math.log(rep.mlr), rel=1e-14)
-        assert rep.aic_delta == pytest.approx(rep.deviance - 2.0, rel=1e-12)
-        assert rep.odds_increase_bound == pytest.approx(2.456023486604883, rel=1e-12)
+        assert rep.mlr == pytest.approx(6.825935561925903, rel=1e-10, abs=0)
+        assert rep.deviance == pytest.approx(2.0 * math.log(rep.mlr), rel=1e-14, abs=0)
+        assert rep.aic_delta == pytest.approx(rep.deviance - 2.0, rel=1e-12, abs=0)
+        assert rep.odds_increase_bound == pytest.approx(2.456023486604883, rel=1e-12, abs=0)
         assert rep.conditional_type1 == pytest.approx(
-            1.0 / (1.0 + rep.odds_increase_bound), rel=1e-14
+            1.0 / (1.0 + rep.odds_increase_bound), rel=1e-14, abs=0
         )
         assert rep.notes == ()
 

@@ -30,9 +30,9 @@ class TestConvert:
         code, out, _ = run(capsys, "convert", "--p", "0.05", "--format", "json")
         assert code == 0
         payload = strict_json(out)
-        assert payload["s_bits"] == pytest.approx(4.321928094887362, rel=1e-12)
-        assert payload["s_nats"] == pytest.approx(2.995732273553991, rel=1e-12)
-        assert payload["s_dits"] == pytest.approx(1.3010299956639813, rel=1e-12)
+        assert payload["s_bits"] == pytest.approx(4.321928094887362, rel=1e-12, abs=0)
+        assert payload["s_nats"] == pytest.approx(2.995732273553991, rel=1e-12, abs=0)
+        assert payload["s_dits"] == pytest.approx(1.3010299956639813, rel=1e-12, abs=0)
         assert payload["coin_tosses"] == 4
         assert payload["sigma"] == pytest.approx(1.6448536269514722, abs=1e-9)
 
@@ -55,8 +55,8 @@ class TestConvert:
                            "--format", "json")
         assert code == 0
         payload = strict_json(out)
-        assert payload["p"] == pytest.approx(0.1, rel=1e-12)
-        assert payload["s_bits"] == pytest.approx(math.log2(10.0), rel=1e-12)
+        assert payload["p"] == pytest.approx(0.1, rel=1e-12, abs=0)
+        assert payload["s_bits"] == pytest.approx(math.log2(10.0), rel=1e-12, abs=0)
 
     def test_conflicting_flags(self, capsys):
         code, _, err = run(capsys, "convert", "--p", "0.5", "--s", "1.0")
@@ -91,8 +91,8 @@ class TestCombine:
         payload = strict_json(out)
         assert payload["k"] == 2
         assert payload["df"] == 4
-        assert payload["p_summary"] == pytest.approx(0.017478661367769955, rel=1e-10)
-        assert payload["s_summary_nats"] == pytest.approx(4.046774492478399, rel=1e-10)
+        assert payload["p_summary"] == pytest.approx(0.017478661367769955, rel=1e-10, abs=0)
+        assert payload["s_summary_nats"] == pytest.approx(4.046774492478399, rel=1e-10, abs=0)
 
     def test_k1_identity(self, capsys, tmp_path):
         f = tmp_path / "one.csv"
@@ -100,7 +100,7 @@ class TestCombine:
         code, out, _ = run(capsys, "combine", "--input", str(f), "--format", "json")
         payload = strict_json(out)
         assert code == 0
-        assert payload["p_summary"] == pytest.approx(0.01, rel=1e-12)
+        assert payload["p_summary"] == pytest.approx(0.01, rel=1e-12, abs=0)
 
     def test_schema_mismatch_names_columns(self, capsys, effect_csv):
         code, _, err = run(capsys, "combine", "--input", effect_csv, "--method", "s-sum")
@@ -111,8 +111,8 @@ class TestCombine:
         code, out, _ = run(capsys, "combine", "--input", effect_csv, "--method", "pooled",
                            "--format", "json")
         payload = strict_json(out)
-        assert payload["pooled_estimate"] == pytest.approx(0.34, rel=1e-12)
-        assert payload["z"] == pytest.approx(3.8013155617496427, rel=1e-10)
+        assert payload["pooled_estimate"] == pytest.approx(0.34, rel=1e-12, abs=0)
+        assert payload["z"] == pytest.approx(3.8013155617496427, rel=1e-10, abs=0)
         assert payload["df"] == 1
 
     def test_z2(self, capsys, effect_csv):
@@ -120,7 +120,7 @@ class TestCombine:
                            "--format", "json")
         payload = strict_json(out)
         assert payload["df"] == 2
-        assert payload["statistic"] == pytest.approx(3.0**2 + 2.5**2, rel=1e-12)
+        assert payload["statistic"] == pytest.approx(3.0**2 + 2.5**2, rel=1e-12, abs=0)
         assert payload["notes"]
 
     def test_compare(self, capsys, effect_csv):
@@ -145,8 +145,8 @@ class TestCalibrate:
         code, out, _ = run(capsys, "calibrate", "--p", "0.05", "--d", "1",
                            "--format", "json")
         payload = strict_json(out)
-        assert payload["mlr"] == pytest.approx(6.825935561925903, rel=1e-9)
-        assert payload["odds_increase_bound"] == pytest.approx(2.456023486604883, rel=1e-9)
+        assert payload["mlr"] == pytest.approx(6.825935561925903, rel=1e-9, abs=0)
+        assert payload["odds_increase_bound"] == pytest.approx(2.456023486604883, rel=1e-9, abs=0)
         assert payload["notes"] == []
 
     def test_bf_fields_null_with_note(self, capsys):
@@ -208,9 +208,9 @@ class TestCurve:
         _, out, _ = run(capsys, "curve", "--estimate", "1.2", "--se", "0.5",
                         "--from", "1.0", "--to", "1.4", "--steps", "3")
         val = out.strip().split("\n")[1].split(",")[1]
-        from svalue.curves import EstimateSpec, p_lower
+        from svalue.curves import EstimateSpec, curve_point
 
-        assert float(val) == p_lower(EstimateSpec(1.2, 0.5), 1.0)
+        assert float(val) == curve_point(EstimateSpec(1.2, 0.5), 1.0).p_ge
 
 
 class TestSimulate:
@@ -279,11 +279,15 @@ class TestArithmeticErrors:
         assert err.startswith("error: ")
 
     def test_pooled_tiny_std_error(self, capsys, tmp_path):
+        # scale-free weights: the same z and S as the unscaled (0.3, 1), (0.5, 2)
         f = tmp_path / "tiny.csv"
-        f.write_text("id,estimate,std_error\na,0.3,1e-200\nb,0.5,0.2\n", encoding="utf-8")
-        code, out, err = run(capsys, "combine", "--input", str(f), "--method", "pooled")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ")
+        f.write_text("id,estimate,std_error\na,3e-201,1e-200\nb,5e-201,2e-200\n", encoding="utf-8")
+        code, out, err = run(capsys, "combine", "--input", str(f), "--method", "pooled",
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        rep = strict_json(out)
+        assert rep["z"] == pytest.approx(0.38013155617496425, rel=1e-15, abs=0)
+        assert rep["s_summary_nats"] == pytest.approx(0.351193192766297, rel=1e-15, abs=0)
 
 
 class TestUnitOption:

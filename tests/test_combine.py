@@ -48,17 +48,17 @@ class TestSSummation:
     def test_single_study_is_identity(self):
         for p in (0.9, 0.5, 0.05, 1e-3, 1e-8):
             rep = s_summation_test(p_studies(p))
-            assert rep.p_summary == pytest.approx(p, rel=1e-12)
+            assert rep.p_summary == pytest.approx(p, rel=1e-12, abs=0)
             assert rep.df == 2
-            assert rep.s_summary.value == pytest.approx(-math.log(p), rel=1e-11)
+            assert rep.s_summary.value == pytest.approx(-math.log(p), rel=1e-11, abs=0)
 
     def test_two_study_worked_example(self):
         rep = s_summation_test(p_studies(0.05, 0.05))
-        assert rep.s_plus.value == pytest.approx(5.991464547107982, rel=1e-12)
+        assert rep.s_plus.value == pytest.approx(5.991464547107982, rel=1e-12, abs=0)
         oracle = chisq_survival_closed_form_even(4, 2.0 * rep.s_plus.value)
-        assert oracle == pytest.approx(0.017478661367769955, rel=1e-12)  # mpmath
-        assert rep.p_summary == pytest.approx(oracle, rel=1e-12)
-        assert rep.s_summary.value == pytest.approx(4.046774492478399, rel=1e-10)
+        assert oracle == pytest.approx(0.017478661367769955, rel=1e-12, abs=0)  # mpmath
+        assert rep.p_summary == pytest.approx(oracle, rel=1e-12, abs=0)
+        assert rep.s_summary.value == pytest.approx(4.046774492478399, rel=1e-10, abs=0)
         assert rep.df == 4
         assert rep.expected_noise_nats == 2.0
         assert rep.shrinkage_nats == pytest.approx(
@@ -84,7 +84,7 @@ class TestSSummation:
         rep = s_summation_test(p_studies(*([math.exp(-1.0)] * 5000)))
         assert rep.s_plus.value == 5000.0
         assert rep.s_summary.value == pytest.approx(
-            0.6969155399835635427499172458938962781758151554215, rel=1e-13
+            0.6969155399835635427499172458938962781758151554215, rel=1e-13, abs=0
         )
 
     def test_order_invariance(self):
@@ -125,12 +125,12 @@ class TestZSquared:
     def test_single_z_matches_two_sided_normal(self):
         for z in (0.5, 1.0, 2.0, 3.0):
             rep = z_squared_test([z])
-            assert rep.p_summary == pytest.approx(2.0 * (1.0 - normal_cdf(z)), rel=1e-10)
+            assert rep.p_summary == pytest.approx(2.0 * (1.0 - normal_cdf(z)), rel=1e-10, abs=0)
             assert rep.df == 1
 
     def test_anchor_value(self):
         rep = z_squared_test([1.959963984540054])
-        assert rep.p_summary == pytest.approx(0.05, rel=1e-10)
+        assert rep.p_summary == pytest.approx(0.05, rel=1e-10, abs=0)
 
     def test_zero_scores(self):
         rep = z_squared_test([0.0, 0.0])
@@ -140,8 +140,8 @@ class TestZSquared:
 
     def test_mixed_signs(self):
         rep = z_squared_test([1.5, -2.0])
-        assert rep.statistic == pytest.approx(6.25, rel=1e-14)
-        assert rep.p_summary == pytest.approx(math.exp(-3.125), rel=1e-12)
+        assert rep.statistic == pytest.approx(6.25, rel=1e-14, abs=0)
+        assert rep.p_summary == pytest.approx(math.exp(-3.125), rel=1e-12, abs=0)
         assert rep.df == 2
 
     def test_many_unit_scores(self):
@@ -149,7 +149,7 @@ class TestZSquared:
         # 50 digits
         rep = z_squared_test([1.0] * 100_000)
         assert rep.s_summary.value == pytest.approx(
-            0.69433730468638594078355012274172555528268757681283, rel=1e-13
+            0.69433730468638594078355012274172555528268757681283, rel=1e-13, abs=0
         )
 
     def test_df_caveat_is_reported(self):
@@ -166,16 +166,16 @@ class TestZSquared:
 class TestPooled:
     def test_single_study_passes_through(self):
         rep = pooled_homogeneity_test(effect_studies((0.3, 0.1)), 0.0)
-        assert rep.pooled_estimate == pytest.approx(0.3, rel=1e-14)
-        assert rep.z == pytest.approx(3.0, rel=1e-12)
+        assert rep.pooled_estimate == pytest.approx(0.3, rel=1e-14, abs=0)
+        assert rep.z == pytest.approx(3.0, rel=1e-12, abs=0)
         assert rep.df == 1
 
     def test_hand_arithmetic_example(self):
         # weights 100 and 25: estimate 42.5/125, se 125^-1/2
         rep = pooled_homogeneity_test(effect_studies((0.3, 0.1), (0.5, 0.2)), 0.0)
-        assert rep.pooled_estimate == pytest.approx(0.34, rel=1e-12)
-        assert rep.pooled_se == pytest.approx(0.08944271909999159, rel=1e-12)
-        assert rep.z == pytest.approx(3.8013155617496427, rel=1e-12)
+        assert rep.pooled_estimate == pytest.approx(0.34, rel=1e-12, abs=0)
+        assert rep.pooled_se == pytest.approx(0.08944271909999159, rel=1e-12, abs=0)
+        assert rep.z == pytest.approx(3.8013155617496427, rel=1e-12, abs=0)
 
     def test_perfect_cancellation(self):
         rep = pooled_homogeneity_test(effect_studies((0.5, 0.1), (-0.5, 0.1)), 0.0)
@@ -199,6 +199,15 @@ class TestPooled:
         with pytest.raises(ValueError):
             pooled_homogeneity_test(p_studies(0.05))
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_scale_free_weights(self, scale):
+        # unscaled: z = 0.34 / (1.25 ** -0.5)
+        studies = effect_studies((0.3 * scale, scale), (0.5 * scale, 2 * scale))
+        rep = pooled_homogeneity_test(studies)
+        assert rep.z == pytest.approx(0.38013155617496425, rel=1e-15, abs=0)
+        assert rep.s_summary.value == pytest.approx(0.351193192766297, rel=1e-15, abs=0)
+        assert rep.pooled_se / scale == pytest.approx(0.8944271909999159, rel=1e-15, abs=0)
+
     def test_extreme_z_stays_finite(self):
         rep = pooled_homogeneity_test(effect_studies((5.0, 0.1)), 0.0)  # z = 50
         assert rep.p_two_sided == 0.0  # underflows
@@ -213,7 +222,7 @@ class TestCompareMethods:
 
     def test_homogeneous_truth_favors_pooling(self):
         cmp_ = compare_methods(effect_studies((0.3, 0.1), (0.3, 0.1)), 0.0)
-        assert cmp_.pooled.z == pytest.approx(4.242640687119286, rel=1e-12)
+        assert cmp_.pooled.z == pytest.approx(4.242640687119286, rel=1e-12, abs=0)
         assert cmp_.pooled_nats > cmp_.s_summation_nats
         assert cmp_.difference_nats > 0.0
 
@@ -226,8 +235,18 @@ class TestCompareMethods:
         cmp_ = compare_methods(effect_studies((0.3, 0.1), (0.3, 0.1)), 0.0)
         # each study sits at z = 3
         assert cmp_.s_summation.s_plus.value == pytest.approx(
-            -2.0 * math.log(2.0 * normal_cdf(-3.0)), rel=1e-12
+            -2.0 * math.log(2.0 * normal_cdf(-3.0)), rel=1e-12, abs=0
         )
+        # the S-summation half is s_summation_test on those P-values, to the bit
+        rng = np.random.default_rng(41)
+        ses = rng.uniform(0.05, 2.0, size=1000)
+        studies = effect_studies(*zip(rng.normal(0.1, 1.0, size=1000) * ses, ses))
+        cmp_ = compare_methods(studies)
+        as_p = [
+            StudyResult.from_p(st.id, 2 * normal_cdf(-abs(st.estimate / st.std_error)))
+            for st in studies
+        ]
+        assert cmp_.s_summation == s_summation_test(as_p)
 
 
 class TestCsvIngestion:

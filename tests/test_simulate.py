@@ -55,7 +55,7 @@ class TestSimulateUniformP:
 
     def test_bits_nats_ratio_is_exact_on_same_sample(self):
         s = simulate_uniform_p(5_000, RngSpec(1), [0.5])
-        assert s.mean_s_bits / s.mean_s_nats == pytest.approx(LOG2E, rel=1e-12)
+        assert s.mean_s_bits / s.mean_s_nats == pytest.approx(LOG2E, rel=1e-12, abs=0)
 
     def test_type1_calibration(self):
         n = 100_000
@@ -104,7 +104,7 @@ class TestBinomialTails:
         tails = binomial_upper_tail_pvalues(trials, 0.3)
         for x in range(trials + 1):
             assert tails[x] == pytest.approx(
-                binomial_tail_by_enumeration(trials, x, 3, 10), rel=1e-13
+                binomial_tail_by_enumeration(trials, x, 3, 10), rel=1e-13, abs=0
             )
 
     def test_exact_rejection_probability_anchor(self):
@@ -223,7 +223,7 @@ class TestDistributionReport:
 
     def test_critical_value(self):
         rep = distribution_report(np.linspace(0.001, 0.999, 100), "uniform_01")
-        assert rep.critical_value == pytest.approx(1.63 / 10.0, rel=1e-12)
+        assert rep.critical_value == pytest.approx(1.63 / 10.0, rel=1e-12, abs=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

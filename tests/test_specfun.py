@@ -23,16 +23,16 @@ class TestLogGamma:
 
     def test_half_integer_anchor(self):
         # ln Gamma(1/2) = ln sqrt(pi)
-        assert log_gamma(0.5) == pytest.approx(0.5723649429247001, rel=1e-12)
+        assert log_gamma(0.5) == pytest.approx(0.5723649429247001, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 10, 20, 50, 170, 300])
     def test_matches_exact_factorials(self, n):
         exact = math.log(math.factorial(n - 1))  # integer arithmetic, then one log
-        assert log_gamma(float(n)) == pytest.approx(exact, rel=1e-12)
+        assert log_gamma(float(n)) == pytest.approx(exact, rel=1e-12, abs=0)
 
     def test_large_argument(self):
         # mpmath (40 digits): loggamma(1e6)
-        assert log_gamma(1e6) == pytest.approx(12815504.569147611, rel=1e-12)
+        assert log_gamma(1e6) == pytest.approx(12815504.569147611, rel=1e-12, abs=0)
 
     def test_recurrence(self):
         rng = np.random.default_rng(7)
@@ -74,12 +74,12 @@ class TestRegGammaUpper:
     def test_exponential_case(self):
         # Q(1, x) = exp(-x)
         q = math.exp(log_reg_gamma_upper(1.0, 2.0))
-        assert q == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert q == pytest.approx(math.exp(-2.0), rel=1e-12, abs=0)
 
     def test_integer_shape_closed_form(self):
         # Q(2, 3) = (1 + 3) e^-3
         q = math.exp(log_reg_gamma_upper(2.0, 3.0))
-        assert q == pytest.approx(4.0 * math.exp(-3.0), rel=1e-12)
+        assert q == pytest.approx(4.0 * math.exp(-3.0), rel=1e-12, abs=0)
 
     def test_integer_shape_poisson_sum(self):
         for a in (1, 2, 3, 5, 10):
@@ -89,7 +89,7 @@ class TestRegGammaUpper:
                     term *= x / j
                     acc += term
                 assert math.exp(log_reg_gamma_upper(float(a), x)) == pytest.approx(
-                    math.exp(-x) * acc, rel=1e-12
+                    math.exp(-x) * acc, rel=1e-12, abs=0
                 )
 
     def test_decreasing_in_x(self):
@@ -106,12 +106,12 @@ class TestRegGammaUpper:
     def test_log_version_deep_tail(self):
         # mpmath (40 digits): log Q(2, 1500)
         assert log_reg_gamma_upper(2.0, 1500.0) == pytest.approx(
-            -1492.6861131683665, rel=1e-13
+            -1492.6861131683665, rel=1e-13, abs=0
         )
 
     @pytest.mark.parametrize("a,x", sorted(LOG_Q_LARGE_A))
     def test_large_shape_matches_mpmath(self, a, x):
-        assert log_reg_gamma_upper(a, x) == pytest.approx(LOG_Q_LARGE_A[(a, x)], rel=1e-13)
+        assert log_reg_gamma_upper(a, x) == pytest.approx(LOG_Q_LARGE_A[(a, x)], rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("a,x", [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.nan)])
     def test_domain(self, a, x):
@@ -134,21 +134,21 @@ class TestChiSquare:
     def test_two_df_exponential(self):
         x = -2.0 * math.log(0.05)
         p = math.exp(log_chisq_survival(ChiSquare(2), x))
-        assert p == pytest.approx(0.05, rel=1e-12)
+        assert p == pytest.approx(0.05, rel=1e-12, abs=0)
 
     def test_four_df_closed_form_anchor(self):
         # (1 + x/2) exp(-x/2) at x = 11.983
         x = 11.983
         expected = (1.0 + x / 2.0) * math.exp(-x / 2.0)
-        assert expected == pytest.approx(0.017478130338748097, rel=1e-12)  # mpmath
+        assert expected == pytest.approx(0.017478130338748097, rel=1e-12, abs=0)  # mpmath
         p = math.exp(log_chisq_survival(ChiSquare(4), x))
-        assert p == pytest.approx(expected, rel=1e-12)
+        assert p == pytest.approx(expected, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("df", [2, 4, 8, 20])
     @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 10.0, 50.0])
     def test_even_df_matches_closed_form(self, df, x):
         assert math.exp(log_chisq_survival(ChiSquare(df), x)) == pytest.approx(
-            chisq_survival_closed_form_even(df, x), rel=1e-12
+            chisq_survival_closed_form_even(df, x), rel=1e-12, abs=0
         )
 
     @pytest.mark.parametrize("df", [1, 3, 5])
@@ -161,7 +161,7 @@ class TestChiSquare:
     def test_log_survival_underflow_regime(self):
         logp = log_chisq_survival(ChiSquare(4), 3000.0)
         assert math.isfinite(logp)
-        assert logp == pytest.approx(-1492.6861131683665, rel=1e-13)  # mpmath
+        assert logp == pytest.approx(-1492.6861131683665, rel=1e-13, abs=0)  # mpmath
 
     def test_negative_statistic_rejected(self):
         with pytest.raises(ValueError):
@@ -211,7 +211,7 @@ class TestNormalQuantile:
         (1 - 1e-12, "7.034486910047835205692400568554849465713"),
     ])
     def test_upper_half_matches_mpmath(self, q, z):
-        assert normal_quantile(q) == pytest.approx(float(z), rel=1e-14)
+        assert normal_quantile(q) == pytest.approx(float(z), rel=1e-14, abs=0)
 
     # Next to q = 1/2, where z is tiny, and at subnormal q (mpmath 1.3.0: the
     # erfinv form above; below 1e-300 a 60-digit root of ln Phi(z) = ln q).

@@ -67,13 +67,13 @@ class TestSurprisal:
     def test_p05_bits(self):
         # -log2(0.05), mpmath 40 digits
         assert surprisal(PValue(0.05), InfoUnit.BITS).value == pytest.approx(
-            4.321928094887362, rel=1e-12
+            4.321928094887362, rel=1e-12, abs=0
         )
 
     def test_p05_nats(self):
         # -ln(0.05), mpmath 40 digits
         assert surprisal(PValue(0.05), InfoUnit.NATS).value == pytest.approx(
-            2.995732273553991, rel=1e-12
+            2.995732273553991, rel=1e-12, abs=0
         )
 
     def test_strictly_antitone(self):
@@ -92,14 +92,14 @@ class TestSurprisal:
                 split = surprisal(PValue(float(p1)), unit).value + surprisal(
                     PValue(float(p2)), unit
                 ).value
-                assert joint == pytest.approx(split, rel=1e-10)
+                assert joint == pytest.approx(split, rel=1e-10, abs=0)
 
     def test_cross_unit_consistency(self):
         rng = np.random.default_rng(23)
         for p in rng.uniform(1e-10, 1.0, size=200):
             pv = PValue(float(p))
             assert surprisal(pv, InfoUnit.NATS).value == pytest.approx(
-                surprisal(pv, InfoUnit.BITS).value * math.log(2.0), rel=1e-12
+                surprisal(pv, InfoUnit.BITS).value * math.log(2.0), rel=1e-12, abs=0
             )
 
 
@@ -107,7 +107,7 @@ class TestConvert:
     def test_bit_to_nats(self):
         got = convert(SValue(1.0, InfoUnit.BITS), InfoUnit.NATS)
         assert got.unit is InfoUnit.NATS
-        assert got.value == pytest.approx(math.log(2.0), rel=1e-12)
+        assert got.value == pytest.approx(math.log(2.0), rel=1e-12, abs=0)
 
     def test_dit_to_bits_is_log2_of_ten(self):
         got = convert(SValue(1.0, InfoUnit.DITS), InfoUnit.BITS)
@@ -129,14 +129,14 @@ class TestConvert:
 
 class TestFromSurprisal:
     def test_one_bit_is_a_coin_flip(self):
-        assert from_surprisal(SValue(1.0, InfoUnit.BITS)).value == pytest.approx(0.5, rel=1e-12)
+        assert from_surprisal(SValue(1.0, InfoUnit.BITS)).value == pytest.approx(0.5, rel=1e-12, abs=0)
 
     def test_zero_information_is_certainty(self):
         assert from_surprisal(SValue(0.0, InfoUnit.NATS)).value == 1.0
 
     def test_inverts_the_p05_example(self):
         assert from_surprisal(SValue(4.321928094887362, InfoUnit.BITS)).value == pytest.approx(
-            0.05, rel=1e-12
+            0.05, rel=1e-12, abs=0
         )
 
     def test_round_trip_identity(self):
@@ -144,7 +144,7 @@ class TestFromSurprisal:
         for p in rng.uniform(1e-10, 1.0, size=200):
             for unit in ALL_UNITS:
                 back = from_surprisal(surprisal(PValue(float(p)), unit))
-                assert back.value == pytest.approx(float(p), rel=1e-12)
+                assert back.value == pytest.approx(float(p), rel=1e-12, abs=0)
 
 
 class TestCoinTossGauge:
