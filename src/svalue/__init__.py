@@ -46,7 +46,6 @@ from .specfun import (
     ChiSquare,
     ConvergenceError,
     log_chisq_survival,
-    log_gamma,
     log_reg_gamma_upper,
     normal_cdf,
     normal_quantile,
@@ -99,7 +98,6 @@ __all__ = [
     "exact_rejection_probability",
     "from_surprisal",
     "log_chisq_survival",
-    "log_gamma",
     "log_reg_gamma_upper",
     "mlr_normal_1df",
     "normal_cdf",

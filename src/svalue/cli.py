@@ -48,23 +48,15 @@ def _sanitize(value: Any, key: str, notes: list[str]) -> Any:
         return None
     if isinstance(value, dict):
         return {k: _sanitize(v, f"{key}.{k}", notes) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v, f"{key}[{i}]", notes) for i, v in enumerate(value)]
     return value
 
 
 def _fmt_table(value: Any) -> str:
     if value is None:
         return "-"
-    if isinstance(value, bool):
-        return "yes" if value else "no"
     if isinstance(value, float):
-        return "nan" if math.isnan(value) else f"{value:.4g}"
+        return f"{value:.4g}"
     return str(value)
-
-
-def _fmt_csv(value: Any) -> Any:
-    return "" if value is None else repr(value) if isinstance(value, float) else value
 
 
 def _flatten(payload: dict, prefix: str = "") -> dict[str, Any]:
@@ -98,7 +90,7 @@ def _emit(payload: dict | list[dict], fmt: str) -> None:
         header = [k for k in rows[0] if k != "unit"]
         writer = csv.writer(sys.stdout, **CSV_DIALECT)
         writer.writerow(header)
-        writer.writerows([_fmt_csv(row[k]) for k in header] for row in rows)
+        writer.writerows([row[k] for k in header] for row in rows)
         return
     width = max(map(len, rows[0]))
     for k, v in rows[0].items():
@@ -131,7 +123,7 @@ def cmd_convert(args: argparse.Namespace) -> dict:
         p = PValue(args.p)
         s = surprisal(p, InfoUnit.NATS)
     else:
-        s = SValue(args.s, InfoUnit.from_name(args.from_unit))
+        s = SValue(args.s, InfoUnit(args.from_unit))
         p = from_surprisal(s)
     payload: dict[str, Any] = {"p": p.value}
     payload.update({f"s_{u.value}": convert(s, u).value for u in InfoUnit})
@@ -146,7 +138,7 @@ def cmd_convert(args: argparse.Namespace) -> dict:
 
 def cmd_combine(args: argparse.Namespace) -> dict:
     studies = studies_from_csv(args.input)
-    p_form = studies[0].has_p
+    p_form = studies[0].p is not None
     method = args.method
     if method == "s-sum":
         if not p_form:
@@ -180,7 +172,7 @@ def cmd_calibrate(args: argparse.Namespace) -> dict:
 
 
 def cmd_curve(args: argparse.Namespace) -> list[dict]:
-    unit = InfoUnit.from_name(args.unit)
+    unit = InfoUnit(args.unit)
     points = curve(EstimateSpec(args.estimate, args.se), args.from_, args.to, args.steps, unit)
     return [{**_record(pt, unit_suffix=False), "unit": unit.value} for pt in points]
 

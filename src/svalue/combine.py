@@ -46,9 +46,8 @@ class StudyResult:
     std_error: float | None = None
 
     def __post_init__(self) -> None:
-        has_p = self.p is not None
         has_effect = self.estimate is not None or self.std_error is not None
-        if has_p == has_effect:
+        if (self.p is not None) == has_effect:
             raise ValueError(
                 f"study {self.id!r} must carry exactly one of a P-value or an "
                 "(estimate, std_error) pair"
@@ -72,10 +71,6 @@ class StudyResult:
     @classmethod
     def from_effect(cls, id: str, estimate: float, std_error: float) -> "StudyResult":
         return cls(id=id, estimate=float(estimate), std_error=float(std_error))
-
-    @property
-    def has_p(self) -> bool:
-        return self.p is not None
 
 
 @dataclass(frozen=True)
@@ -148,7 +143,7 @@ def s_summation_test(studies: list[StudyResult]) -> CombinationReport:
     """
     if not studies:
         raise ValueError("s_summation_test requires at least one study")
-    bad = [st.id for st in studies if not st.has_p]
+    bad = [st.id for st in studies if st.p is None]
     if bad:
         raise ValueError(f"s_summation_test needs P-value evidence; studies {bad} carry effects")
     return _s_summation(len(studies), sum(-math.log(st.p.value) for st in studies) + 0.0)
@@ -180,7 +175,12 @@ def z_squared_test(z_scores: list[float]) -> ZSquaredReport:
         if math.isnan(z) or math.isinf(z):
             raise ValueError(f"z-scores must be finite, got {z!r}")
     k = len(z_scores)
-    statistic = math.fsum(z * z for z in z_scores)
+    try:  # fsum returns inf for an infinite square and raises on a finite overflow
+        statistic = math.fsum(z * z for z in z_scores)
+        if math.isinf(statistic):
+            raise OverflowError
+    except OverflowError:
+        raise OverflowError("the sum of squared z-scores overflows") from None
     p_summary, s_summary = _summary_from_chisq(k, statistic)
     return ZSquaredReport(
         k=k,
@@ -201,7 +201,9 @@ def pooled_homogeneity_test(
     """
     if not studies:
         raise ValueError("pooled_homogeneity_test requires at least one study")
-    bad = [st.id for st in studies if st.has_p]
+    if not math.isfinite(null_value):
+        raise ValueError(f"null value must be finite, got {null_value!r}")
+    bad = [st.id for st in studies if st.p is not None]
     if bad:
         raise ValueError(
             f"pooled_homogeneity_test needs effect-form evidence; studies {bad} carry P-values"
@@ -213,6 +215,8 @@ def pooled_homogeneity_test(
     pooled_estimate = math.fsum(w * st.estimate for w, st in zip(weights, studies)) / total_w
     pooled_se = se_min / math.sqrt(total_w)
     z = (pooled_estimate - null_value) / pooled_se
+    if math.isinf(z):
+        raise OverflowError("the pooled z-score (estimate - null) / std_error overflows")
     _, s_nats = _summary_from_chisq(1, z * z)  # the two-sided normal tail
     return PooledReport(
         k=len(studies),
@@ -253,11 +257,11 @@ EFFECT_COLUMNS = ("id", "estimate", "std_error")
 
 
 def studies_from_csv(path: str | os.PathLike) -> list[StudyResult]:
-    """Read a study table: header `id,p` or `id,estimate,std_error` (UTF-8).
+    """Read a study table: header `id,p` or `id,estimate,std_error` (UTF-8, optional BOM).
 
     Raises SchemaError on any layout or value problem; I/O errors propagate.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -1,5 +1,5 @@
-"""Special functions: log-gamma, the regularized upper incomplete gamma and
-chi-squared survival in log space, and the standard-normal CDF/quantile pair.
+"""Special functions: the regularized upper incomplete gamma and chi-squared
+survival in log space, and the standard-normal CDF/quantile pair.
 
 There is no scipy dependency. ln Gamma is the standard library's
 `math.lgamma`, the normal CDF is `math.erfc`, and the normal quantile is
@@ -21,9 +21,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-# Convergence policy shared by the series and continued-fraction loops:
-# stop once the running term contributes less than TERM_RATIO of the sum,
-# give up loudly after MAX_ITER + 10 sqrt(a) iterations.
+# Convergence policy: the series stops once its running term contributes less
+# than TERM_RATIO of the sum, the continued fraction once h stops changing;
+# both give up loudly after MAX_ITER + 10 sqrt(a) iterations.
 TERM_RATIO = 1e-16
 MAX_ITER = 500
 
@@ -49,13 +49,6 @@ class ChiSquare:
             raise ValueError(f"df must be an integer, got {self.df!r}")
         if self.df < 1:
             raise ValueError(f"df must be >= 1, got {self.df}")
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not (x > 0.0) or math.isinf(x) or math.isnan(x):
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def _log_prefactor(a: float, x: float) -> float:
@@ -118,7 +111,7 @@ def _upper_cf_factor(a: float, x: float, max_iter: int) -> float:
         delta = d * c
         h_next = h * delta
         # h_next == h means the term fell below half an ulp of the sum.
-        if abs(delta - 1.0) < TERM_RATIO or h_next == h:
+        if h_next == h:
             return h_next
         h = h_next
     raise ConvergenceError(

@@ -21,15 +21,6 @@ class InfoUnit(enum.Enum):
     def nats_per_unit(self) -> float:
         return _NATS_PER_UNIT[self]
 
-    @classmethod
-    def from_name(cls, name: str) -> "InfoUnit":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown information unit {name!r}; expected one of bits, nats, dits"
-            ) from None
-
 
 _NATS_PER_UNIT = {
     InfoUnit.BITS: math.log(2.0),
@@ -87,9 +78,7 @@ def surprisal(p: PValue, unit: InfoUnit = InfoUnit.BITS) -> SValue:
 
 
 def convert(s: SValue, target: InfoUnit) -> SValue:
-    """Rescale a surprisal to another unit (identity when already there)."""
-    if target is s.unit:
-        return s
+    """Rescale a surprisal to another unit."""
     return SValue(s.value * (s.unit.nats_per_unit / target.nats_per_unit), target)
 
 

@@ -289,6 +289,25 @@ class TestArithmeticErrors:
         assert rep["z"] == pytest.approx(0.38013155617496425, rel=1e-15, abs=0)
         assert rep["s_summary_nats"] == pytest.approx(0.351193192766297, rel=1e-15, abs=0)
 
+    @pytest.mark.parametrize("method, rows", [
+        ("pooled", "a,1e308,1e-308\nb,1,1\n"),  # z = (estimate - null) / std_error
+        ("z2", "a,1e300,1\nb,1,1\n"),  # the sum of z^2
+    ])
+    def test_overflowing_statistic(self, capsys, tmp_path, method, rows):
+        f = tmp_path / "big.csv"
+        f.write_text("id,estimate,std_error\n" + rows, encoding="utf-8")
+        code, out, err = run(capsys, "combine", "--input", str(f), "--method", method)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "overflows" in err
+
+    @pytest.mark.parametrize("method", ["pooled", "compare"])
+    @pytest.mark.parametrize("null", ["nan", "inf"])
+    def test_non_finite_null(self, capsys, effect_csv, method, null):
+        code, out, err = run(capsys, "combine", "--input", effect_csv, "--method", method,
+                             "--null", null)
+        assert (code, out) == (2, "")
+        assert err == f"error: null value must be finite, got {null}\n"
+
 
 class TestUnitOption:
     """Only curve takes --unit (TestCurve.test_json_format uses it)."""
@@ -304,6 +323,17 @@ class TestUnitOption:
             main([*argv, "--unit", "nats"])
         assert exc.value.code == 2
         assert "--unit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--estimate", "0", "--se", "1", "--from", "-1", "--to", "1", "--steps", "3",
+         "--unit", "Bits"],
+        ["convert", "--s", "1", "--from-unit", "Bits"],
+    ], ids=["curve", "convert"])
+    def test_unit_names_are_argparse_choices(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'Bits'" in capsys.readouterr().err
 
 
 # Runs in a fresh interpreter, because this one has numpy loaded already.

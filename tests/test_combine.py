@@ -162,6 +162,11 @@ class TestZSquared:
         with pytest.raises(ValueError):
             z_squared_test([1.0, math.inf])
 
+    @pytest.mark.parametrize("z_scores", [[1e300, 1.0], [1e154] * 3])
+    def test_overflowing_sum_raises(self, z_scores):
+        with pytest.raises(OverflowError, match="sum of squared z-scores overflows"):
+            z_squared_test(z_scores)
+
 
 class TestPooled:
     def test_single_study_passes_through(self):
@@ -214,6 +219,16 @@ class TestPooled:
         assert math.isfinite(rep.s_summary.value)
         assert rep.s_summary.value > 1000.0
 
+    def test_overflowing_z_raises(self):
+        with pytest.raises(OverflowError):
+            pooled_homogeneity_test(effect_studies((1e308, 1e-308), (1.0, 1.0)))
+
+    @pytest.mark.parametrize("test", [pooled_homogeneity_test, compare_methods])
+    @pytest.mark.parametrize("null", [math.nan, math.inf, -math.inf])
+    def test_non_finite_null_rejected(self, test, null):
+        with pytest.raises(ValueError, match="null value must be finite"):
+            test(effect_studies((0.3, 0.1), (0.5, 0.2)), null)
+
 
 class TestCompareMethods:
     def test_single_study_agreement(self):
@@ -263,6 +278,13 @@ class TestCsvIngestion:
         studies = studies_from_csv(f)
         assert studies[1].estimate == -0.5
         assert studies[1].std_error == 0.25
+
+    @pytest.mark.parametrize("body", ["id,p\na,0.05\n", "id,estimate,std_error\na,0.3,0.1\n"])
+    def test_utf8_byte_order_mark_accepted(self, tmp_path, body):
+        # spreadsheet tools export CSV with a leading BOM
+        f = tmp_path / "bom.csv"
+        f.write_text(body, encoding="utf-8-sig")
+        assert studies_from_csv(f)[0].id == "a"
 
     def test_header_case_and_blank_lines_tolerated(self, tmp_path):
         f = tmp_path / "h.csv"

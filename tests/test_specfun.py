@@ -8,43 +8,12 @@ import pytest
 from svalue.specfun import (
     ChiSquare,
     log_chisq_survival,
-    log_gamma,
     log_reg_gamma_upper,
     normal_cdf,
     normal_quantile,
 )
 
 from oracles import chisq_survival_by_quadrature, chisq_survival_closed_form_even
-
-
-class TestLogGamma:
-    def test_gamma_of_one_is_zero(self):
-        assert abs(log_gamma(1.0)) < 1e-12
-
-    def test_half_integer_anchor(self):
-        # ln Gamma(1/2) = ln sqrt(pi)
-        assert log_gamma(0.5) == pytest.approx(0.5723649429247001, rel=1e-12, abs=0)
-
-    @pytest.mark.parametrize("n", [2, 3, 5, 10, 20, 50, 170, 300])
-    def test_matches_exact_factorials(self, n):
-        exact = math.log(math.factorial(n - 1))  # integer arithmetic, then one log
-        assert log_gamma(float(n)) == pytest.approx(exact, rel=1e-12, abs=0)
-
-    def test_large_argument(self):
-        # mpmath (40 digits): loggamma(1e6)
-        assert log_gamma(1e6) == pytest.approx(12815504.569147611, rel=1e-12, abs=0)
-
-    def test_recurrence(self):
-        rng = np.random.default_rng(7)
-        for x in rng.uniform(0.5, 200.0, size=200):
-            assert log_gamma(x + 1.0) == pytest.approx(
-                log_gamma(x) + math.log(x), rel=1e-11, abs=1e-11
-            )
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan, math.inf])
-    def test_domain(self, bad):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
 
 
 # ln Q(a, x) near x = a for large a: mpmath 1.3.0 at 90 digits (gammainc, lower

@@ -51,11 +51,6 @@ class TestSValue:
     def test_negative_zero_normalized(self):
         assert str(SValue(-0.0, InfoUnit.BITS).value) == "0.0"
 
-    def test_unit_parsing(self):
-        assert InfoUnit.from_name("Bits") is InfoUnit.BITS
-        with pytest.raises(ValueError):
-            InfoUnit.from_name("trits")
-
 
 class TestSurprisal:
     def test_certainty_is_zero_information(self):
