@@ -150,9 +150,7 @@ def cmd_combine(args: argparse.Namespace) -> dict:
         )
     if method == "z2":
         z_scores = [(st.estimate - args.null) / st.std_error for st in studies]
-        record = _record(z_squared_test(z_scores))
-        record["notes"] = [record.pop("df_caveat")]
-        return {"method": method, **record}
+        return {"method": method, **_record(z_squared_test(z_scores))}
     if method == "pooled":
         return {"method": method, **_record(pooled_homogeneity_test(studies, args.null))}
     cmp_ = compare_methods(studies, args.null)
@@ -212,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("convert", parents=[common], help="P-value <-> S-value conversions")
     p_conv.add_argument("--p", type=float, help="P-value in (0, 1]")
     p_conv.add_argument("--s", type=float, help="S-value magnitude (requires --from-unit)")
-    p_conv.add_argument("--from-unit", choices=("bits", "nats", "dits"), default="bits",
+    p_conv.add_argument("--from-unit", choices=[u.value for u in InfoUnit], default="bits",
                         help="unit of --s (default: bits)")
     p_conv.set_defaults(func=cmd_convert)
 
@@ -235,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--from", dest="from_", type=float, required=True)
     p_curve.add_argument("--to", type=float, required=True)
     p_curve.add_argument("--steps", type=int, required=True)
-    p_curve.add_argument("--unit", choices=("bits", "nats", "dits"), default="bits",
+    p_curve.add_argument("--unit", choices=[u.value for u in InfoUnit], default="bits",
                          help="information unit of the S-values (default: bits)")
     p_curve.set_defaults(func=cmd_curve)
 

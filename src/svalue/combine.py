@@ -93,7 +93,7 @@ class ZSquaredReport:
     df: int  # k, see Z_SQUARED_DF_CAVEAT
     p_summary: float
     s_summary: SValue
-    df_caveat: str = Z_SQUARED_DF_CAVEAT
+    notes: tuple[str, ...] = (Z_SQUARED_DF_CAVEAT,)
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,6 @@ class MethodComparison:
     s_summation: CombinationReport
     pooled: PooledReport
     s_summation_nats: float
-    pooled_nats: float
     difference_nats: float  # pooled - s_summation
 
 
@@ -126,7 +125,7 @@ def _summary_from_chisq(df: int, x: float) -> tuple[float, float]:
     The surprisal comes from the log-space kernel and stays finite; p = e^-s is
     for display and may underflow to 0.0.
     """
-    s = -log_chisq_survival(ChiSquare(df), x) + 0.0
+    s = -log_chisq_survival(ChiSquare(df), x)
     return math.exp(-s), s
 
 
@@ -146,7 +145,7 @@ def s_summation_test(studies: list[StudyResult]) -> CombinationReport:
     bad = [st.id for st in studies if st.p is None]
     if bad:
         raise ValueError(f"s_summation_test needs P-value evidence; studies {bad} carry effects")
-    return _s_summation(len(studies), sum(-math.log(st.p.value) for st in studies) + 0.0)
+    return _s_summation(len(studies), sum(-math.log(st.p.value) for st in studies))
 
 
 def _s_summation(k: int, s_plus: float) -> CombinationReport:
@@ -167,7 +166,7 @@ def z_squared_test(z_scores: list[float]) -> ZSquaredReport:
     """Sum of squared z-scores referred to chi-squared on K df.
 
     The K-df reference is only right when no cross-study information went into
-    the z-scores (see ZSquaredReport.df_caveat).
+    the z-scores (see Z_SQUARED_DF_CAVEAT, reported in notes).
     """
     if not z_scores:
         raise ValueError("z_squared_test requires at least one z-score")
@@ -237,18 +236,19 @@ def compare_methods(
     (estimate - null) / std_error.
     """
     pooled = pooled_homogeneity_test(studies, null_value)
-    s_plus = sum(
-        -math.log(_two_sided_p((st.estimate - null_value) / st.std_error)) for st in studies
-    )
-    fisher = _s_summation(len(studies), s_plus + 0.0)
+    z_scores = [(st.estimate - null_value) / st.std_error for st in studies]
+    for st, z in zip(studies, z_scores):
+        if math.isinf(z):
+            raise OverflowError(
+                f"study {st.id!r}: the z-score (estimate - null) / std_error overflows"
+            )
+    fisher = _s_summation(len(studies), sum(-math.log(_two_sided_p(z)) for z in z_scores))
     s_fisher = fisher.s_summary.value
-    s_pooled = pooled.s_summary.value
     return MethodComparison(
         s_summation=fisher,
         pooled=pooled,
         s_summation_nats=s_fisher,
-        pooled_nats=s_pooled,
-        difference_nats=s_pooled - s_fisher,
+        difference_nats=pooled.s_summary.value - s_fisher,
     )
 
 

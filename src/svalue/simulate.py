@@ -25,13 +25,13 @@ from dataclasses import dataclass
 from math import comb
 from typing import TYPE_CHECKING
 
+from .units import InfoUnit
+
 if TYPE_CHECKING:
     import numpy as np
 
 LOW_N = 1000  # below this, summary statistics are flagged as unreliable
 KS_CRITICAL_COEF = 1.63  # asymptotic one-sample KS critical value at the 1% level
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def _summarize(p: np.ndarray, alphas: list[float]) -> SimulationSummary:
     return SimulationSummary(
         n=n,
         mean_s_nats=mean_nats,
-        mean_s_bits=mean_nats / _LN2,
+        mean_s_bits=mean_nats / InfoUnit.BITS.nats_per_unit,
         se_of_mean=se,
         empirical_type1=rates,
         dominance_violations=violations,

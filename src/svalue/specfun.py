@@ -8,11 +8,12 @@ kernel is implemented here and validated in the test suite against exact
 closed forms, brute-force quadrature and frozen mpmath values. It returns
 ln Q, so deep tails stay finite; a caller that wants Q itself takes its exp.
 The kernel follows the classic split: power series for x < a + 1, continued
-fraction (modified Lentz) otherwise. Near x = a both loops need about
-9 sqrt(a) terms, so the iteration bound grows with sqrt(a). For large a the
-prefactor x^a e^-x / Gamma(a) is taken as a (ln(1 + t) - t) + ln(a / 2 pi) / 2
-minus the Stirling remainder of ln Gamma(a), with t = x / a - 1, instead of
-from three terms of size a ln a that cancel.
+fraction (modified Lentz) otherwise. Both loops stop once a step no longer
+changes their result. Near x = a they need about 9 sqrt(a) steps, so the
+iteration bound grows with sqrt(a). For large a the prefactor
+x^a e^-x / Gamma(a) is taken as a (ln(1 + t) - t) + ln(a / 2 pi) / 2 minus
+the Stirling remainder of ln Gamma(a), with t = x / a - 1, instead of from
+three terms of size a ln a that cancel.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-# Convergence policy: the series stops once its running term contributes less
-# than TERM_RATIO of the sum, the continued fraction once h stops changing;
-# both give up loudly after MAX_ITER + 10 sqrt(a) iterations.
-TERM_RATIO = 1e-16
+# Convergence policy: the series sum and the continued fraction's h are final once
+# a step leaves them unchanged; both give up loudly after MAX_ITER + 10 sqrt(a) steps.
 MAX_ITER = 500
 
 _SQRT2 = math.sqrt(2.0)
@@ -82,9 +81,9 @@ def _lower_series(a: float, x: float, max_iter: int) -> float:
     for _ in range(max_iter):
         ap += 1.0
         term *= x / ap
-        total += term
-        if abs(term) < abs(total) * TERM_RATIO:
+        if total + term == total:
             return total
+        total += term
     raise ConvergenceError(f"incomplete gamma series did not converge (a={a}, x={x})")
 
 

@@ -171,6 +171,16 @@ class TestCalibrate:
         code, _, _ = run(capsys, "calibrate", "--p", "1.5")
         assert code == 2
 
+    def test_infinite_bound_becomes_null_with_note(self, capsys):
+        code, out, _ = run(capsys, "calibrate", "--p", "1e-320", "--d", "2",
+                           "--format", "json")
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["odds_increase_bound"] is None
+        assert payload["conditional_type1"] == 0.0
+        assert ("odds_increase_bound is not representable in JSON (inf) and was set to null"
+                in payload["notes"])
+
 
 class TestCurve:
     def test_csv_header_and_worked_row(self, capsys):
@@ -251,6 +261,16 @@ class TestSimulate:
         assert payload["low_n"]
         assert payload["notes"]
 
+    def test_nan_standard_error_becomes_null_with_note(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--n", "1", "--format", "json")
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["se_of_mean"] is None
+        assert payload["notes"] == [
+            "n = 1 is below 1000; summary statistics are unreliable",
+            "se_of_mean is not representable in JSON (nan) and was set to null",
+        ]
+
 
 class TestUsage:
     def test_unknown_subcommand_exits_2(self, capsys):
@@ -299,6 +319,14 @@ class TestArithmeticErrors:
         code, out, err = run(capsys, "combine", "--input", str(f), "--method", method)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "overflows" in err
+
+    def test_overflowing_study_z_names_the_study(self, capsys, tmp_path):
+        # the pooled z is 1e300, finite; study a's own z overflows
+        f = tmp_path / "big.csv"
+        f.write_text("id,estimate,std_error\na,1e300,1e-10\nb,0,1e-20\n", encoding="utf-8")
+        code, out, err = run(capsys, "combine", "--input", str(f), "--method", "compare")
+        assert (code, out) == (2, "")
+        assert err == "error: study 'a': the z-score (estimate - null) / std_error overflows\n"
 
     @pytest.mark.parametrize("method", ["pooled", "compare"])
     @pytest.mark.parametrize("null", ["nan", "inf"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from svalue.combine import (
+    Z_SQUARED_DF_CAVEAT,
     SchemaError,
     StudyResult,
     compare_methods,
@@ -42,6 +43,11 @@ class TestStudyResult:
             StudyResult.from_effect("x", 1.0, 0.0)
         with pytest.raises(ValueError):
             StudyResult.from_effect("x", 1.0, -0.3)
+
+    @pytest.mark.parametrize("estimate", [math.nan, math.inf, -math.inf])
+    def test_estimate_finite(self, estimate):
+        with pytest.raises(ValueError, match="estimate must be finite"):
+            StudyResult.from_effect("x", estimate, 1.0)
 
 
 class TestSSummation:
@@ -152,8 +158,9 @@ class TestZSquared:
             0.69433730468638594078355012274172555528268757681283, rel=1e-13, abs=0
         )
 
-    def test_df_caveat_is_reported(self):
-        assert "cross-study" in z_squared_test([1.0]).df_caveat
+    def test_caveat_is_reported_in_notes(self):
+        assert z_squared_test([1.0]).notes == (Z_SQUARED_DF_CAVEAT,)
+        assert "cross-study" in Z_SQUARED_DF_CAVEAT
 
     def test_order_invariance_and_errors(self):
         assert z_squared_test([1.0, -2.0, 0.5]) == z_squared_test([0.5, 1.0, -2.0])
@@ -233,18 +240,18 @@ class TestPooled:
 class TestCompareMethods:
     def test_single_study_agreement(self):
         cmp_ = compare_methods(effect_studies((0.3, 0.1)), 0.0)
-        assert abs(cmp_.s_summation_nats - cmp_.pooled_nats) < 1e-9
+        assert abs(cmp_.s_summation_nats - cmp_.pooled.s_summary.value) < 1e-9
 
     def test_homogeneous_truth_favors_pooling(self):
         cmp_ = compare_methods(effect_studies((0.3, 0.1), (0.3, 0.1)), 0.0)
         assert cmp_.pooled.z == pytest.approx(4.242640687119286, rel=1e-12, abs=0)
-        assert cmp_.pooled_nats > cmp_.s_summation_nats
+        assert cmp_.pooled.s_summary.value > cmp_.s_summation_nats
         assert cmp_.difference_nats > 0.0
 
     def test_opposed_effects_favor_s_summation(self):
         cmp_ = compare_methods(effect_studies((0.6, 0.1), (-0.6, 0.1)), 0.0)
         assert cmp_.pooled.z == 0.0
-        assert cmp_.s_summation_nats > cmp_.pooled_nats
+        assert cmp_.s_summation_nats > cmp_.pooled.s_summary.value
 
     def test_per_study_p_values_are_two_sided(self):
         cmp_ = compare_methods(effect_studies((0.3, 0.1), (0.3, 0.1)), 0.0)
@@ -262,6 +269,13 @@ class TestCompareMethods:
             for st in studies
         ]
         assert cmp_.s_summation == s_summation_test(as_p)
+
+    def test_overflowing_study_z_names_the_study(self):
+        # the pooled z is 1e300, finite; study a's own z is 1e310
+        studies = [StudyResult.from_effect("a", 1e300, 1e-10),
+                   StudyResult.from_effect("b", 0.0, 1e-20)]
+        with pytest.raises(OverflowError, match=r"^study 'a': the z-score .* overflows$"):
+            compare_methods(studies)
 
 
 class TestCsvIngestion:

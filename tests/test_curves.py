@@ -116,7 +116,10 @@ class TestCurve:
         assert pts[1].s_le.unit is InfoUnit.DITS
         assert pts[1].s_le.value == pytest.approx(math.log10(2.0), rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("frm,to,steps", [(1.0, 1.0, 5), (2.0, 1.0, 5), (0.0, 1.0, 1), (0.0, 1.0, 0)])
+    @pytest.mark.parametrize("frm,to,steps", [
+        (1.0, 1.0, 5), (2.0, 1.0, 5), (0.0, 1.0, 1), (0.0, 1.0, 0),
+        (math.nan, 1.0, 5), (0.0, math.nan, 5), (-math.inf, 1.0, 5), (0.0, math.inf, 5),
+    ])
     def test_invalid_grids(self, frm, to, steps):
         with pytest.raises(ValueError):
             curve(EstimateSpec(0.0, 1.0), frm, to, steps)

@@ -71,6 +71,7 @@ class TestRegGammaUpper:
     def test_limits(self):
         assert math.exp(log_reg_gamma_upper(3.0, 1e4)) < 1e-200
         assert math.exp(log_reg_gamma_upper(3.0, 1e-12)) == pytest.approx(1.0, abs=1e-10)
+        assert log_reg_gamma_upper(3.0, math.inf) == -math.inf
 
     def test_log_version_deep_tail(self):
         # mpmath (40 digits): log Q(2, 1500)
@@ -140,6 +141,10 @@ class TestChiSquare:
 class TestNormalCdf:
     def test_symmetry_point(self):
         assert normal_cdf(0.0) == 0.5
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            normal_cdf(math.nan)
 
     def test_upper_five_percent_cutoff(self):
         assert normal_cdf(1.6448536269514722) == pytest.approx(0.95, abs=1e-12)
