@@ -11,10 +11,22 @@ Kolmogorov-Smirnov fit report.
 numpy is imported on first use, by the functions that draw or sort samples,
 so `import svalue` and the CLI's other subcommands never load it.
 
+No path holds n draws. Each generator reduces its draws to the same
+sufficient statistics (n, mean of -ln P, M2 = sum of squared deviations from
+that mean, hits at each alpha) and one `_summarize` reports them. Uniform P
+values are drawn and reduced in chunks of CHUNK and merged with Chan et al.'s
+pairwise update; the exact binomial draws its outcome histogram in one
+multinomial, in O(trials) time and memory whatever n is. The KS report sorts
+one copy of its samples and scans it in chunks. Memory is O(CHUNK) for the
+simulations, O(n) for the KS report.
+
 Reproducibility contract: draws come from numpy's PCG64 bit generator seeded
 with SeedSequence(entropy=seed, spawn_key=(stream,)). The same (seed, stream)
-pair yields bit-identical sequences across runs and platforms; parallel
-workers should take substreams (seed, stream + worker_index).
+pair yields bit-identical results across runs and platforms; parallel
+workers should take substreams (seed, stream + worker_index). Exact-binomial
+results for a given seed differ from versions that drew one outcome per
+replicate (same distribution, other draws), and uniform results above CHUNK
+draws may differ from single-pass ones in their last bit.
 """
 
 from __future__ import annotations
@@ -22,7 +34,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import comb
 from typing import TYPE_CHECKING
 
 from .units import InfoUnit
@@ -32,6 +43,7 @@ if TYPE_CHECKING:
 
 LOW_N = 1000  # below this, summary statistics are flagged as unreliable
 KS_CRITICAL_COEF = 1.63  # asymptotic one-sample KS critical value at the 1% level
+CHUNK = 1 << 16  # values per uniform-draw and KS chunk; fixed, so reruns stay bit-identical
 
 
 @dataclass(frozen=True)
@@ -97,16 +109,42 @@ def _check_alphas(alphas: Sequence[float]) -> list[float]:
     return out
 
 
-def _summarize(p: np.ndarray, alphas: list[float]) -> SimulationSummary:
+# Sufficient statistics of a set of P-values: (n, mean of -ln p, M2, hits per alpha).
+_Stats = tuple[int, float, float, list[int]]
+
+
+def _chunk_stats(p: np.ndarray, alphas: list[float]) -> _Stats:
+    """Statistics of one chunk, by the expressions of numpy's mean and std."""
     import numpy as np
-    n = p.size
-    s_nats = -np.log(p)
-    mean_nats = float(s_nats.mean())
-    se = float(s_nats.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+    s = np.log(p)
+    np.negative(s, out=s)
+    hits = [int(np.count_nonzero(p <= a)) for a in alphas]
+    mean = s.mean()
+    np.subtract(s, mean, out=s)
+    return p.size, float(mean), float(np.square(s, out=s).sum()), hits
+
+
+def _merge(a: _Stats, b: _Stats) -> _Stats:
+    """Chan et al.'s pairwise update of two sets of statistics."""
+    na, mean_a, m2_a, hits_a = a
+    nb, mean_b, m2_b, hits_b = b
+    n = na + nb
+    delta = mean_b - mean_a
+    return (
+        n,
+        mean_a + delta * nb / n,
+        m2_a + m2_b + delta * delta * na * nb / n,
+        [x + y for x, y in zip(hits_a, hits_b)],
+    )
+
+
+def _summarize(stats: _Stats, alphas: list[float]) -> SimulationSummary:
+    n, mean_nats, m2, hits = stats
+    se = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.nan
     rates: dict[float, float] = {}
     violations = 0
-    for a in alphas:
-        rate = float(np.count_nonzero(p <= a) / n)
+    for a, h in zip(alphas, hits):
+        rate = h / n
         rates[a] = rate
         if rate > a + 3.0 * math.sqrt(a * (1.0 - a) / n):
             violations += 1
@@ -121,26 +159,41 @@ def _summarize(p: np.ndarray, alphas: list[float]) -> SimulationSummary:
     )
 
 
-def _null_pvalues(
+def _null_stats(
     generator: str,
     n: int,
     rng: RngSpec,
+    alphas: list[float],
     trials: int | None = None,
     theta0: float | None = None,
-) -> np.ndarray:
-    """n P-values drawn under the null of the uniform or exact-binomial generator."""
+) -> _Stats:
+    """Statistics of n P-values drawn under the null of the uniform or exact-binomial generator."""
     import numpy as np
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"replicate count must be a positive integer, got {n!r}")
     if generator == "uniform":
-        # 1 - U keeps the draw in (0, 1]; numpy's random() can return exactly 0.
-        return 1.0 - rng.generator().random(n)
+        gen = rng.generator()
+        stats = None
+        for start in range(0, n, CHUNK):
+            # 1 - U keeps the draw in (0, 1]; numpy's random() can return exactly 0.
+            chunk = _chunk_stats(1.0 - gen.random(min(CHUNK, n - start)), alphas)
+            stats = chunk if stats is None else _merge(stats, chunk)
+        return stats
     if generator != "binomial":
         raise ValueError(f"unknown generator {generator!r}; expected uniform or binomial")
     if trials is None or theta0 is None:
         raise ValueError("binomial generator requires trials and theta0")
     tails = np.asarray(binomial_upper_tail_pvalues(trials, theta0))
-    return tails[rng.generator().binomial(trials, theta0, size=n)]
+    # The counts of n iid outcomes are Multinomial(n, pmf); the differences of
+    # the tails telescope to 1, so the pmf passes numpy's sum check.
+    counts = rng.generator().multinomial(n, tails - np.append(tails[1:], 0.0))
+    # An unreachable outcome's tail can underflow to 0, and 0 * inf is NaN.
+    seen = counts > 0
+    counts, p = counts[seen], tails[seen]
+    s = -np.log(p)
+    mean = math.fsum(counts * s) / n
+    m2 = math.fsum(counts * (s - mean) ** 2)
+    return n, mean, m2, [int(counts[p <= a].sum()) for a in alphas]
 
 
 def simulate_uniform_p(
@@ -152,7 +205,7 @@ def simulate_uniform_p(
     rejection rate at each alpha targets alpha itself.
     """
     alphas = _check_alphas(alphas)
-    return _summarize(_null_pvalues("uniform", n, rng), alphas)
+    return _summarize(_null_stats("uniform", n, rng, alphas), alphas)
 
 
 def binomial_upper_tail_pvalues(trials: int, theta0: float) -> list[float]:
@@ -166,10 +219,11 @@ def binomial_upper_tail_pvalues(trials: int, theta0: float) -> list[float]:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     if math.isnan(theta0) or not (0.0 < theta0 < 1.0):
         raise ValueError(f"theta0 must lie in (0, 1), got {theta0!r}")
-    pmf = [
-        comb(trials, x) * theta0**x * (1.0 - theta0) ** (trials - x)
-        for x in range(trials + 1)
-    ]
+    pmf = []
+    c = 1  # comb(trials, x), by the exact integer recurrence
+    for x in range(trials + 1):
+        pmf.append(c * theta0**x * (1.0 - theta0) ** (trials - x))
+        c = c * (trials - x) // (x + 1)
     tails = [0.0] * (trials + 1)
     acc = 0.0
     for x in range(trials, 0, -1):
@@ -205,7 +259,7 @@ def simulate_exact_binomial(
     most ~1 nat, read as minimum information against the null.
     """
     alphas = _check_alphas(alphas)
-    return _summarize(_null_pvalues("binomial", n_reps, rng, trials, theta0), alphas)
+    return _summarize(_null_stats("binomial", n_reps, rng, alphas, trials, theta0), alphas)
 
 
 def evalue_check(
@@ -221,7 +275,7 @@ def evalue_check(
     below 1. Passes when the sample mean minus 3 standard errors does not
     exceed 1. Small n is flagged, not failed.
     """
-    summary = _summarize(_null_pvalues(generator, n, rng, trials, theta0), [])
+    summary = _summarize(_null_stats(generator, n, rng, [], trials, theta0), [])
     mean, se = summary.mean_s_nats, summary.se_of_mean
     margin = 3.0 * se if math.isfinite(se) else 0.0
     if generator == "binomial":
@@ -243,24 +297,28 @@ def distribution_report(samples, reference: str) -> DistributionReport:
     stays under the asymptotic 1% critical value 1.63 / sqrt(n).
     """
     import numpy as np
-    data = np.sort(np.asarray(samples, dtype=float))
+    data = np.asarray(samples, dtype=float)
     n = data.size
     if n < 100:
         raise ValueError(f"distribution_report needs at least 100 samples, got {n}")
-    if np.isnan(data).any():
+    data = np.sort(data)
+    if np.isnan(data[-1]):  # np.sort puts NaN last
         raise ValueError("samples must not contain NaN")
     if reference == "exponential_1":
-        cdf = -np.expm1(-np.clip(data, 0.0, None))
+        def cdf(x):
+            return -np.expm1(-np.clip(x, 0.0, None))
     elif reference == "uniform_01":
-        cdf = np.clip(data, 0.0, 1.0)
+        def cdf(x):
+            return np.clip(x, 0.0, 1.0)
     else:
         raise ValueError(
             f"unknown reference {reference!r}; expected exponential_1 or uniform_01"
         )
-    i = np.arange(1, n + 1)
-    d_plus = float(np.max(i / n - cdf))
-    d_minus = float(np.max(cdf - (i - 1) / n))
-    d_stat = max(d_plus, d_minus)
+    d_stat = 0.0  # the largest D+ or D-, taken chunk by chunk
+    for start in range(0, n, CHUNK):
+        f = cdf(data[start:start + CHUNK])
+        i = np.arange(start + 1, start + f.size + 1)
+        d_stat = max(d_stat, float(np.max(i / n - f)), float(np.max(f - (i - 1) / n)))
     critical = KS_CRITICAL_COEF / math.sqrt(n)
     return DistributionReport(
         n=n,

@@ -1,11 +1,13 @@
 """Monte Carlo harness tests: determinism, calibration bands, dominance, KS."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from svalue.simulate import (
+    CHUNK,
     RngSpec,
     binomial_upper_tail_pvalues,
     distribution_report,
@@ -79,6 +81,19 @@ class TestSimulateUniformP:
         assert s.empirical_type1 == {0.05: 0.3}
         assert s.dominance_violations == 1
 
+    @pytest.mark.parametrize("n", [CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    def test_chunks_match_a_single_pass(self, n):
+        alphas = [0.01, 0.05, 0.5]
+        p = 1.0 - RngSpec(11, 4).generator().random(n)
+        s = -np.log(p)
+        got = simulate_uniform_p(n, RngSpec(11, 4), alphas)
+        assert got.mean_s_nats == pytest.approx(float(s.mean()), rel=1e-15, abs=0)
+        assert got.se_of_mean == pytest.approx(float(s.std(ddof=1)) / math.sqrt(n), rel=1e-15, abs=0)
+        assert got.empirical_type1 == {a: np.count_nonzero(p <= a) / n for a in alphas}
+        if n == CHUNK:  # one chunk: numpy's own mean and std, bit for bit
+            assert (got.mean_s_nats, got.se_of_mean) == (
+                float(s.mean()), float(s.std(ddof=1) / math.sqrt(n)))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate_uniform_p(0, RngSpec(0), [0.5])
@@ -98,6 +113,19 @@ class TestBinomialTails:
 
     def test_single_trial(self):
         assert binomial_upper_tail_pvalues(1, 0.5) == [1.0, 0.5]
+
+    @pytest.mark.parametrize("theta0", [0.05, 0.5, 0.77])
+    def test_comb_recurrence_is_bit_identical(self, theta0):
+        trials = 1000
+        pmf = [math.comb(trials, x) * theta0**x * (1.0 - theta0) ** (trials - x)
+               for x in range(trials + 1)]
+        want = [0.0] * (trials + 1)
+        acc = 0.0
+        for x in range(trials, 0, -1):
+            acc += pmf[x]
+            want[x] = min(acc, 1.0)
+        want[0] = 1.0
+        assert binomial_upper_tail_pvalues(trials, theta0) == want
 
     def test_matches_fraction_enumeration_for_uneven_theta(self):
         trials = 12
@@ -155,6 +183,26 @@ class TestSimulateExactBinomial:
         exact = 11.0 / 1024.0
         rate = s.empirical_type1[0.05]
         assert abs(rate - exact) < 3.0 * math.sqrt(exact * (1 - exact) / n)
+
+    def test_histogram_matches_the_expanded_draws(self):
+        # the summary of one drawn outcome histogram equals the statistics of
+        # the n P-values it stands for
+        n, trials, theta0, rng = 5000, 12, 0.3, RngSpec(8, 1)
+        alphas = [0.01, 0.05, 0.1]
+        tails = np.asarray(binomial_upper_tail_pvalues(trials, theta0))
+        counts = rng.generator().multinomial(n, tails - np.append(tails[1:], 0.0))
+        p = np.repeat(tails, counts)
+        s = -np.log(p)
+        got = simulate_exact_binomial(n, trials, theta0, rng, alphas)
+        assert got.mean_s_nats == pytest.approx(float(s.mean()), rel=1e-15, abs=0)
+        assert got.se_of_mean == pytest.approx(float(s.std(ddof=1)) / math.sqrt(n), rel=1e-15, abs=0)
+        assert got.empirical_type1 == {a: np.count_nonzero(p <= a) / n for a in alphas}
+
+    def test_unreachable_outcomes_keep_the_mean_finite(self):
+        # the upper tails of the largest outcomes underflow to 0.0
+        assert binomial_upper_tail_pvalues(1000, 0.05)[-1] == 0.0
+        s = simulate_exact_binomial(100_000, 1000, 0.05, RngSpec(4), [0.05])
+        assert math.isfinite(s.mean_s_nats) and math.isfinite(s.se_of_mean)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -221,6 +269,19 @@ class TestDistributionReport:
         data = RngSpec(9).generator().random(10_000)
         assert distribution_report(data, "uniform_01").passed
 
+    @pytest.mark.parametrize("n", [CHUNK + 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("reference", ["exponential_1", "uniform_01"])
+    def test_chunks_match_the_whole_array_formula(self, n, reference):
+        data = -np.log(1.0 - RngSpec(n).generator().random(n))
+        x = np.sort(data)
+        if reference == "exponential_1":
+            cdf = -np.expm1(-np.clip(x, 0.0, None))
+        else:
+            cdf = np.clip(x, 0.0, 1.0)
+        i = np.arange(1, n + 1)
+        want = max(float(np.max(i / n - cdf)), float(np.max(cdf - (i - 1) / n)))
+        assert distribution_report(data, reference).ks_statistic == want
+
     def test_critical_value(self):
         rep = distribution_report(np.linspace(0.001, 0.999, 100), "uniform_01")
         assert rep.critical_value == pytest.approx(1.63 / 10.0, rel=1e-12, abs=0)
@@ -232,3 +293,31 @@ class TestDistributionReport:
             distribution_report(np.linspace(0.01, 0.99, 200), "gaussian")
         with pytest.raises(ValueError):
             distribution_report(np.full(200, math.nan), "uniform_01")
+
+
+class TestMemory:
+    """Peak traced allocation per draw: no path may hold n values again."""
+
+    N = 2_000_000
+
+    @staticmethod
+    def peak_bytes(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("call", [
+        lambda n: simulate_uniform_p(n, RngSpec(1)),
+        lambda n: simulate_exact_binomial(n, 100, 0.3, RngSpec(1)),
+        lambda n: evalue_check(n, RngSpec(1)),
+        lambda n: evalue_check(n, RngSpec(1), "binomial", 100, 0.3),
+    ], ids=["uniform", "binomial", "evalue_uniform", "evalue_binomial"])
+    def test_simulations_stay_under_one_byte_per_draw(self, call):
+        assert self.peak_bytes(lambda: call(self.N)) < self.N
+
+    def test_ks_report_holds_one_sorted_copy(self):
+        data = RngSpec(2).generator().random(self.N)
+        assert self.peak_bytes(lambda: distribution_report(data, "uniform_01")) < 12 * self.N
