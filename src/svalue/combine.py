@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .specfun import ChiSquare, log_chisq_survival, normal_cdf
@@ -256,13 +257,23 @@ P_COLUMNS = ("id", "p")
 EFFECT_COLUMNS = ("id", "estimate", "std_error")
 
 
+def _csv_rows(fh: Iterable[str]) -> Iterator[list[str]]:
+    """`csv.reader` rows; a malformed line (say, a field over `csv.field_size_limit`)
+    raises SchemaError naming it."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"line {reader.line_num}: {exc}") from None
+
+
 def studies_from_csv(path: str | os.PathLike) -> list[StudyResult]:
     """Read a study table: header `id,p` or `id,estimate,std_error` (UTF-8, optional BOM).
 
     Raises SchemaError on any layout or value problem; I/O errors propagate.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh)
         try:
             header = next(reader)
         except StopIteration:

@@ -67,11 +67,13 @@ def curve(
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     from_, to = float(from_), float(to)
-    if math.isnan(from_) or math.isnan(to) or math.isinf(from_) or math.isinf(to):
+    if not (math.isfinite(from_) and math.isfinite(to)):
         raise ValueError("grid endpoints must be finite")
     if not (from_ < to):
         raise ValueError(f"grid requires from < to, got [{from_}, {to}]")
     width = to - from_
+    if math.isinf(width):
+        raise ValueError(f"grid width to - from overflows, got [{from_}, {to}]")
     return [
         curve_point(spec, to if i == steps - 1 else from_ + width * i / (steps - 1), unit)
         for i in range(steps)

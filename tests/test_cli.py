@@ -1,5 +1,6 @@
 """CLI contract tests: output schemas, exit codes, determinism."""
 
+import csv
 import json
 import math
 import os
@@ -133,6 +134,14 @@ class TestCombine:
         code, _, err = run(capsys, "combine", "--input", str(tmp_path / "nope.csv"))
         assert code == 1
         assert "I/O" in err
+
+    def test_oversized_field_is_exit_2(self, capsys, tmp_path):
+        limit = csv.field_size_limit()
+        f = tmp_path / "big.csv"
+        f.write_text(f"id,p\n{'a' * (limit + 1)},0.5\n", encoding="utf-8")
+        code, out, err = run(capsys, "combine", "--input", str(f))
+        assert (code, out) == (2, "")
+        assert err == f"error: line 2: field larger than field limit ({limit})\n"
 
     def test_pooled_on_p_form_is_schema_error(self, capsys, p_csv):
         code, _, err = run(capsys, "combine", "--input", p_csv, "--method", "pooled")
@@ -368,6 +377,8 @@ class TestUnitOption:
 NUMPY_FREE_SCRIPT = """
 import json, sys
 import svalue
+loaded = [m for m in sys.modules if m.startswith("svalue.")]
+assert not loaded, f"import svalue loaded {loaded}"
 assert "numpy" not in sys.modules, "import svalue loaded numpy"
 import svalue.cli
 assert "numpy" not in sys.modules, "import svalue.cli loaded numpy"

@@ -1,5 +1,6 @@
 """Evidence-combination tests: worked values, invariants, noise accounting."""
 
+import csv
 import math
 
 import numpy as np
@@ -320,6 +321,18 @@ class TestCsvIngestion:
         f = tmp_path / "bad.csv"
         f.write_text(body, encoding="utf-8")
         with pytest.raises(SchemaError):
+            studies_from_csv(f)
+
+    @pytest.mark.parametrize("body,line", [
+        ("id,p\n{big},0.5\n", 2),  # oversized field in a data row
+        ("{big},p\na,0.5\n", 1),  # oversized field in the header
+    ])
+    def test_oversized_field_is_schema_error(self, tmp_path, body, line):
+        limit = csv.field_size_limit()
+        f = tmp_path / "big.csv"
+        f.write_text(body.format(big="a" * (limit + 1)), encoding="utf-8")
+        expected = rf"^line {line}: field larger than field limit \({limit}\)$"
+        with pytest.raises(SchemaError, match=expected):
             studies_from_csv(f)
 
     def test_schema_error_names_expected_columns(self, tmp_path):

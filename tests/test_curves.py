@@ -119,9 +119,10 @@ class TestCurve:
     @pytest.mark.parametrize("frm,to,steps", [
         (1.0, 1.0, 5), (2.0, 1.0, 5), (0.0, 1.0, 1), (0.0, 1.0, 0),
         (math.nan, 1.0, 5), (0.0, math.nan, 5), (-math.inf, 1.0, 5), (0.0, math.inf, 5),
+        (-1e308, 1e308, 3),  # finite endpoints whose width overflows
     ])
     def test_invalid_grids(self, frm, to, steps):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid|steps"):
             curve(EstimateSpec(0.0, 1.0), frm, to, steps)
 
     def test_rows_are_curve_points(self):

@@ -1,0 +1,55 @@
+"""The package surface: `svalue.__all__`, lazy name lookup and submodule access."""
+
+import importlib
+import inspect
+
+import pytest
+
+import svalue
+
+SUBMODULES = ("calibrate", "combine", "curves", "simulate", "specfun", "units")
+CONSTANTS = {"BF_BOUND_MAX_P": "svalue.calibrate"}  # exported names that are not defs
+
+
+def test_star_import_binds_exactly_all_with_home_objects():
+    ns = {}
+    exec("from svalue import *", ns)
+    del ns["__builtins__"]
+    assert sorted(ns) == sorted(svalue.__all__)
+    for name, obj in ns.items():
+        home = CONSTANTS.get(name) or obj.__module__
+        assert obj is getattr(importlib.import_module(home), name), name
+
+
+def test_every_public_function_and_class_is_exported():
+    defined = set(CONSTANTS)
+    for m in SUBMODULES:
+        mod = importlib.import_module(f"svalue.{m}")
+        defined |= {
+            name for name, obj in vars(mod).items()
+            if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == mod.__name__
+        }
+    assert defined == set(svalue.__all__)
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodules_are_attributes(name):
+    assert getattr(svalue, name) is importlib.import_module(f"svalue.{name}")
+
+
+def test_unknown_names_raise_attribute_error_and_dir_lists_all():
+    assert not hasattr(svalue, "nope")
+    assert set(svalue.__all__) <= set(dir(svalue))
+
+
+def test_a_name_patched_in_its_home_module_is_what_the_package_returns(monkeypatch):
+    import svalue.units
+
+    def fake(p, unit=None):
+        return "patched"
+
+    monkeypatch.setattr(svalue.units, "surprisal", fake)
+    assert svalue.surprisal is fake
+    monkeypatch.undo()
+    assert svalue.surprisal is svalue.units.surprisal
