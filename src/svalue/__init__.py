@@ -15,9 +15,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "calibrate": ("BF_BOUND_MAX_P", "BayesFactorBound", "CalibrationReport",
-                  "bayes_factor_bound", "calibration_report", "deviance_and_aic",
-                  "mlr_normal_1df"),
+    "calibrate": ("BF_BOUND_MAX_P", "CalibrationReport", "calibration_report"),
     "combine": ("CombinationReport", "MethodComparison", "PooledReport", "SchemaError",
                 "StudyResult", "ZSquaredReport", "compare_methods", "pooled_homogeneity_test",
                 "s_summation_test", "studies_from_csv", "z_squared_test"),

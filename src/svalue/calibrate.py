@@ -1,27 +1,21 @@
 """Likelihood and Bayes-factor calibrations of an observed P-value.
 
-Covers the maximum-likelihood ratio for the one-df normal test, the deviance
-2 ln(MLR) and the AIC change 2 ln(MLR) - 2d, and the sharp Bayes-factor lower
-bound b = -e * p * ln(p) with its companion odds bound 1/b and conditional
-Type-1 error rate 1 / (1 + 1/b). The bound only exists for p < 1/e.
+`calibration_report` is the one entry point. It gives the maximum-likelihood
+ratio for the one-df normal test, the deviance 2 ln(MLR) and the AIC change
+2 ln(MLR) - 2d, and the sharp Bayes-factor lower bound b = -e * p * ln(p)
+with its companion odds bound 1/b and conditional Type-1 error rate
+1 / (1 + 1/b). The bound only exists for p < 1/e.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 from .specfun import normal_quantile
 from .units import PValue
 
 BF_BOUND_MAX_P = 1.0 / math.e  # 0.3679; -p*ln(p) peaks here at 1/e
-
-
-class BayesFactorBound(NamedTuple):
-    b: float  # lower bound on the Bayes factor, in (0, 1]
-    odds_increase_bound: float  # 1/b, upper bound on the posterior odds increase
-    conditional_type1: float  # 1 / (1 + 1/b)
 
 
 @dataclass(frozen=True)
@@ -30,55 +24,13 @@ class CalibrationReport:
 
     p: float
     df_d: int
-    mlr: float | None
-    deviance: float | None
-    aic_delta: float | None
-    bf_lower_bound: float | None
-    odds_increase_bound: float | None
-    conditional_type1: float | None
-    notes: tuple[str, ...] = field(default_factory=tuple)
-
-
-def mlr_normal_1df(p: PValue) -> float:
-    """Maximum-likelihood ratio for the 1-df normal (Wald) test.
-
-    With z the two-sided normal deviate matching p, the likelihood ratio of
-    the unrestricted maximum to the null maximum is exp(z^2 / 2); always >= 1.
-    """
-    if p.value == 1.0:
-        raise ValueError("mlr_normal_1df requires p < 1 (z undefined at p = 1)")
-    z = -normal_quantile(p.value / 2.0)  # = Phi^-1(1 - p/2), tail-safe form
-    return math.exp(z * z / 2.0)
-
-
-def deviance_and_aic(mlr: float, d: int) -> tuple[float, float]:
-    """Deviance 2 ln(mlr) and AIC change 2 ln(mlr) - 2d for a d-dim restriction."""
-    if math.isnan(mlr) or mlr < 1.0:
-        raise ValueError(f"MLR must be >= 1, got {mlr!r}")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise ValueError(f"restriction dimension d must be a positive integer, got {d!r}")
-    deviance = 2.0 * math.log(mlr)
-    return deviance, deviance - 2.0 * d
-
-
-def bayes_factor_bound(p: PValue) -> BayesFactorBound:
-    """Sharp lower bound b = -e * p * ln(p) on the Bayes factor, for p < 1/e.
-
-    1/b bounds the increase in posterior odds against the hypothesis, and
-    1 / (1 + 1/b) is the Type-1 error rate of the associated conditional
-    decision rule.
-    """
-    if p.value >= BF_BOUND_MAX_P:
-        raise ValueError(
-            f"the Bayes-factor bound -e*p*ln(p) only holds for p < 1/e "
-            f"({BF_BOUND_MAX_P:.4f}); got p = {p.value}"
-        )
-    b = -math.e * p.value * math.log(p.value)
-    return BayesFactorBound(
-        b=b,
-        odds_increase_bound=1.0 / b,
-        conditional_type1=1.0 / (1.0 + 1.0 / b),
-    )
+    mlr: float | None  # exp(z^2 / 2) for the 1-df normal test; always >= 1
+    deviance: float | None  # 2 ln(mlr) = z^2
+    aic_delta: float | None  # 2 ln(mlr) - 2d
+    bf_lower_bound: float | None  # lower bound b on the Bayes factor, in (0, 1]
+    odds_increase_bound: float | None  # 1/b, upper bound on the posterior odds increase
+    conditional_type1: float | None  # 1 / (1 + 1/b)
+    notes: tuple[str, ...] = ()
 
 
 def calibration_report(p: PValue, d: int = 1) -> CalibrationReport:
@@ -95,15 +47,19 @@ def calibration_report(p: PValue, d: int = 1) -> CalibrationReport:
     notes: list[str] = []
     mlr = deviance = aic_delta = None
     if d == 1:
-        mlr = mlr_normal_1df(p)
-        deviance, aic_delta = deviance_and_aic(mlr, d)
+        z = -normal_quantile(p.value / 2.0)  # = Phi^-1(1 - p/2), tail-safe form
+        mlr = math.exp(z * z / 2.0)
+        deviance = 2.0 * math.log(mlr)
+        aic_delta = deviance - 2.0 * d
     else:
         notes.append(
             f"MLR fields omitted: the normal-test MLR is implemented for d = 1 only (got d = {d})"
         )
     b = odds = cond = None
     if p.value < BF_BOUND_MAX_P:
-        b, odds, cond = bayes_factor_bound(p)
+        b = -math.e * p.value * math.log(p.value)
+        odds = 1.0 / b
+        cond = 1.0 / (1.0 + 1.0 / b)
     else:
         notes.append(
             f"Bayes-factor fields omitted: the bound -e*p*ln(p) requires p < 1/e "

@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .specfun import ChiSquare, log_chisq_survival, normal_cdf
@@ -146,7 +145,7 @@ def s_summation_test(studies: list[StudyResult]) -> CombinationReport:
     bad = [st.id for st in studies if st.p is None]
     if bad:
         raise ValueError(f"s_summation_test needs P-value evidence; studies {bad} carry effects")
-    return _s_summation(len(studies), sum(-math.log(st.p.value) for st in studies))
+    return _s_summation(len(studies), math.fsum(-math.log(st.p.value) for st in studies))
 
 
 def _s_summation(k: int, s_plus: float) -> CombinationReport:
@@ -243,7 +242,7 @@ def compare_methods(
             raise OverflowError(
                 f"study {st.id!r}: the z-score (estimate - null) / std_error overflows"
             )
-    fisher = _s_summation(len(studies), sum(-math.log(_two_sided_p(z)) for z in z_scores))
+    fisher = _s_summation(len(studies), math.fsum(-math.log(_two_sided_p(z)) for z in z_scores))
     s_fisher = fisher.s_summary.value
     return MethodComparison(
         s_summation=fisher,
@@ -257,57 +256,50 @@ P_COLUMNS = ("id", "p")
 EFFECT_COLUMNS = ("id", "estimate", "std_error")
 
 
-def _csv_rows(fh: Iterable[str]) -> Iterator[list[str]]:
-    """`csv.reader` rows; a malformed line (say, a field over `csv.field_size_limit`)
-    raises SchemaError naming it."""
-    reader = csv.reader(fh)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise SchemaError(f"line {reader.line_num}: {exc}") from None
-
-
 def studies_from_csv(path: str | os.PathLike) -> list[StudyResult]:
     """Read a study table: header `id,p` or `id,estimate,std_error` (UTF-8, optional BOM).
 
-    Raises SchemaError on any layout or value problem; I/O errors propagate.
+    Raises SchemaError on any layout or value problem, naming the physical line
+    where the offending record ends; I/O errors propagate.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = _csv_rows(fh)
+        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(
-                f"empty study file; expected header {','.join(P_COLUMNS)} or "
-                f"{','.join(EFFECT_COLUMNS)}"
-            ) from None
-        header = tuple(h.strip().lower() for h in header)
-        if header == P_COLUMNS:
-            p_form = True
-        elif header == EFFECT_COLUMNS:
-            p_form = False
-        else:
-            raise SchemaError(
-                f"unrecognized columns {list(header)}; expected "
-                f"{','.join(P_COLUMNS)} or {','.join(EFFECT_COLUMNS)}"
-            )
-        studies: list[StudyResult] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
+            header = next(reader, None)
+            if header is None:
                 raise SchemaError(
-                    f"line {lineno}: expected {len(header)} fields, got {len(row)}"
+                    f"empty study file; expected header {','.join(P_COLUMNS)} or "
+                    f"{','.join(EFFECT_COLUMNS)}"
                 )
-            try:
-                if p_form:
-                    studies.append(StudyResult.from_p(row[0].strip(), float(row[1])))
-                else:
-                    studies.append(
-                        StudyResult.from_effect(row[0].strip(), float(row[1]), float(row[2]))
+            header = tuple(h.strip().lower() for h in header)
+            if header == P_COLUMNS:
+                p_form = True
+            elif header == EFFECT_COLUMNS:
+                p_form = False
+            else:
+                raise SchemaError(
+                    f"unrecognized columns {list(header)}; expected "
+                    f"{','.join(P_COLUMNS)} or {','.join(EFFECT_COLUMNS)}"
+                )
+            studies: list[StudyResult] = []
+            for row in reader:
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(header):
+                    raise SchemaError(
+                        f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
                     )
-            except ValueError as exc:
-                raise SchemaError(f"line {lineno}: {exc}") from None
+                try:
+                    if p_form:
+                        studies.append(StudyResult.from_p(row[0].strip(), float(row[1])))
+                    else:
+                        studies.append(
+                            StudyResult.from_effect(row[0].strip(), float(row[1]), float(row[2]))
+                        )
+                except ValueError as exc:
+                    raise SchemaError(f"line {reader.line_num}: {exc}") from None
+        except csv.Error as exc:  # a malformed line, say a field over csv.field_size_limit
+            raise SchemaError(f"line {reader.line_num}: {exc}") from None
     if not studies:
         raise SchemaError("study file contains a header but no data rows")
     return studies

@@ -143,6 +143,14 @@ class TestCombine:
         assert (code, out) == (2, "")
         assert err == f"error: line 2: field larger than field limit ({limit})\n"
 
+    def test_value_error_names_physical_line(self, capsys, tmp_path):
+        # the quoted id spans lines 2-3, so the bad row is line 4 (its third record)
+        f = tmp_path / "multi.csv"
+        f.write_text('id,p\n"a\nb",0.5\nc,zero\n', encoding="utf-8")
+        code, out, err = run(capsys, "combine", "--input", str(f))
+        assert (code, out) == (2, "")
+        assert err == "error: line 4: could not convert string to float: 'zero'\n"
+
     def test_pooled_on_p_form_is_schema_error(self, capsys, p_csv):
         code, _, err = run(capsys, "combine", "--input", p_csv, "--method", "pooled")
         assert code == 2

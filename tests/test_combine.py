@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,11 @@ class TestSSummation:
         assert a.p_summary == b.p_summary
         assert a.s_plus == b.s_plus
         assert a.s_summary == b.s_summary
+        # the surprisals are summed exactly rounded, so any order gives the same bits
+        rng = np.random.default_rng(97)
+        studies = p_studies(*(1.0 - rng.random(10_000)))
+        shuffled = [studies[i] for i in rng.permutation(len(studies))]
+        assert s_summation_test(studies) == s_summation_test(shuffled)
 
     def test_rejects_empty_and_effect_form(self):
         with pytest.raises(ValueError):
@@ -271,6 +277,13 @@ class TestCompareMethods:
         ]
         assert cmp_.s_summation == s_summation_test(as_p)
 
+    def test_order_invariance(self):
+        rng = np.random.default_rng(98)
+        ses = rng.uniform(0.05, 2.0, size=10_000)
+        studies = effect_studies(*zip(rng.normal(0.1, 1.0, size=10_000) * ses, ses))
+        shuffled = [studies[i] for i in rng.permutation(len(studies))]
+        assert compare_methods(studies) == compare_methods(shuffled)
+
     def test_overflowing_study_z_names_the_study(self):
         # the pooled z is 1e300, finite; study a's own z is 1e310
         studies = [StudyResult.from_effect("a", 1e300, 1e-10),
@@ -333,6 +346,18 @@ class TestCsvIngestion:
         f.write_text(body.format(big="a" * (limit + 1)), encoding="utf-8")
         expected = rf"^line {line}: field larger than field limit \({limit}\)$"
         with pytest.raises(SchemaError, match=expected):
+            studies_from_csv(f)
+
+    @pytest.mark.parametrize("body,message", [
+        ('id,p\n"a\nb",0.5\nc,zero\n', "line 4: could not convert string to float: 'zero'"),
+        ('id,p\n"a\nb",0.5\nc,0.5,9\n', "line 4: expected 2 fields, got 3"),
+        ('id,estimate,std_error\n"a\nb",0.3,0.1\n\nc,0.3,0\n',
+         "line 5: study 'c' std_error must be a positive finite number"),
+    ], ids=["value", "field-count", "effect-after-blank-line"])
+    def test_error_names_physical_line_after_multiline_field(self, tmp_path, body, message):
+        f = tmp_path / "multi.csv"
+        f.write_text(body, encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             studies_from_csv(f)
 
     def test_schema_error_names_expected_columns(self, tmp_path):
