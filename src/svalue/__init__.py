@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "calibrate": ("BF_BOUND_MAX_P", "CalibrationReport", "calibration_report"),
     "combine": ("CombinationReport", "MethodComparison", "PooledReport", "SchemaError",
-                "StudyResult", "ZSquaredReport", "compare_methods", "pooled_homogeneity_test",
-                "s_summation_test", "studies_from_csv", "z_squared_test"),
+                "StudyResult", "StudyTable", "ZSquaredReport", "compare_methods",
+                "pooled_homogeneity_test", "s_summation_test", "studies_from_csv", "z_squared_test"),
     "curves": ("CurvePoint", "EstimateSpec", "curve", "curve_point"),
     "simulate": ("DistributionReport", "EValueCheck", "RngSpec", "SimulationSummary",
                  "binomial_upper_tail_pvalues", "distribution_report", "evalue_check",

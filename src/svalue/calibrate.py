@@ -47,8 +47,11 @@ def calibration_report(p: PValue, d: int = 1) -> CalibrationReport:
     notes: list[str] = []
     mlr = deviance = aic_delta = None
     if d == 1:
-        z = -normal_quantile(p.value / 2.0)  # = Phi^-1(1 - p/2), tail-safe form
-        mlr = math.exp(z * z / 2.0)
+        try:  # exp overflows below p ~ 1e-310; at 5e-324, p / 2 underflows and the quantile raises
+            z = -normal_quantile(p.value / 2.0)  # = Phi^-1(1 - p/2), tail-safe form
+            mlr = math.exp(z * z / 2.0)
+        except (ValueError, OverflowError):
+            raise OverflowError(f"the MLR exp(z^2 / 2) overflows at p = {p.value!r}") from None
         deviance = 2.0 * math.log(mlr)
         aic_delta = deviance - 2.0 * d
     else:

@@ -138,7 +138,7 @@ def cmd_convert(args: argparse.Namespace) -> dict:
 
 def cmd_combine(args: argparse.Namespace) -> dict:
     studies = studies_from_csv(args.input)
-    p_form = studies[0].p is not None
+    p_form = len(studies.columns) == 1
     method = args.method
     if method == "s-sum":
         if not p_form:
@@ -149,7 +149,7 @@ def cmd_combine(args: argparse.Namespace) -> dict:
             f"method {method} requires columns id,estimate,std_error; the input carries id,p"
         )
     if method == "z2":
-        z_scores = [(st.estimate - args.null) / st.std_error for st in studies]
+        z_scores = [(e - args.null) / se for e, se in zip(*studies.columns)]
         return {"method": method, **_record(z_squared_test(z_scores))}
     if method == "pooled":
         return {"method": method, **_record(pooled_homogeneity_test(studies, args.null))}

@@ -1,6 +1,7 @@
 """Evidence combination across independent studies.
 
-Three routes are provided:
+Three routes are provided, each computed from float columns of the studies: a
+StudyTable's own, as `studies_from_csv` validates rows into them, or gathered in one pass:
 
 * the S-summation test (Fisher's method in surprisal form): sum the per-study
   surprisals in nats and refer twice the sum to a chi-squared distribution on
@@ -20,10 +21,12 @@ from __future__ import annotations
 import csv
 import math
 import os
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .specfun import ChiSquare, log_chisq_survival, normal_cdf
-from .units import InfoUnit, PValue, SValue
+from .units import InfoUnit, PValue, SValue, _check_p
 
 Z_SQUARED_DF_CAVEAT = (
     "df = K assumes no cross-study information was used to compute the "
@@ -53,16 +56,7 @@ class StudyResult:
                 "(estimate, std_error) pair"
             )
         if has_effect:
-            if self.estimate is None or self.std_error is None:
-                raise ValueError(
-                    f"study {self.id!r} effect form needs both estimate and std_error"
-                )
-            if math.isnan(self.estimate) or math.isinf(self.estimate):
-                raise ValueError(f"study {self.id!r} estimate must be finite")
-            if not (self.std_error > 0.0) or math.isinf(self.std_error):
-                raise ValueError(
-                    f"study {self.id!r} std_error must be a positive finite number"
-                )
+            _check_effect(self.id, self.estimate, self.std_error)
 
     @classmethod
     def from_p(cls, id: str, p: float) -> "StudyResult":
@@ -71,6 +65,47 @@ class StudyResult:
     @classmethod
     def from_effect(cls, id: str, estimate: float, std_error: float) -> "StudyResult":
         return cls(id=id, estimate=float(estimate), std_error=float(std_error))
+
+
+def _check_effect(id: str, estimate: float, std_error: float) -> None:
+    """The one check of an effect-form study's estimate and std error."""
+    if estimate is None or std_error is None:
+        raise ValueError(f"study {id!r} effect form needs both estimate and std_error")
+    if math.isnan(estimate) or math.isinf(estimate):
+        raise ValueError(f"study {id!r} estimate must be finite")
+    if not (std_error > 0.0) or math.isinf(std_error):
+        raise ValueError(f"study {id!r} std_error must be a positive finite number")
+
+
+@dataclass(frozen=True, eq=False)
+class StudyTable(Sequence):
+    """Studies read by `studies_from_csv` into read-only `ids` and value `columns`, (p,) or
+    (estimate, std_error). Indexing builds each StudyResult on access; a slice gives a list."""
+
+    ids: Sequence[str]
+    columns: tuple[Sequence[float], ...]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int | slice) -> StudyResult | list[StudyResult]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        build = StudyResult.from_p if len(self.columns) == 1 else StudyResult.from_effect
+        return build(self.ids[i], *(col[i] for col in self.columns))
+
+
+def _columns(studies: Sequence[StudyResult], test: str, p_form: bool) -> tuple:
+    """(p,) if p_form, else (estimate, std_error): a StudyTable's own, or one pass over studies."""
+    if isinstance(studies, StudyTable) and len(studies.columns) == (1 if p_form else 2):
+        return studies.columns
+    rows = [(st.p.value,) if p_form else (st.estimate, st.std_error)
+            for st in studies if (st.p is not None) == p_form]
+    if len(rows) < len(studies):
+        bad = [st.id for st in studies if (st.p is not None) != p_form]
+        need, other = ("P-value", "effects") if p_form else ("effect-form", "P-values")
+        raise ValueError(f"{test} needs {need} evidence; studies {bad} carry {other}")
+    return tuple(zip(*rows))
 
 
 @dataclass(frozen=True)
@@ -134,7 +169,7 @@ def _two_sided_p(z: float) -> float:
     return 2.0 * normal_cdf(-abs(z))
 
 
-def s_summation_test(studies: list[StudyResult]) -> CombinationReport:
+def s_summation_test(studies: Sequence[StudyResult]) -> CombinationReport:
     """Fisher-style combination of per-study P-values in surprisal form.
 
     Tests the conjunction of the study models: s_plus = sum of -ln(p_k), with
@@ -142,10 +177,8 @@ def s_summation_test(studies: list[StudyResult]) -> CombinationReport:
     """
     if not studies:
         raise ValueError("s_summation_test requires at least one study")
-    bad = [st.id for st in studies if st.p is None]
-    if bad:
-        raise ValueError(f"s_summation_test needs P-value evidence; studies {bad} carry effects")
-    return _s_summation(len(studies), math.fsum(-math.log(st.p.value) for st in studies))
+    (p,) = _columns(studies, "s_summation_test", p_form=True)
+    return _s_summation(len(p), math.fsum(-math.log(v) for v in p))
 
 
 def _s_summation(k: int, s_plus: float) -> CombinationReport:
@@ -191,7 +224,7 @@ def z_squared_test(z_scores: list[float]) -> ZSquaredReport:
 
 
 def pooled_homogeneity_test(
-    studies: list[StudyResult], null_value: float = 0.0
+    studies: Sequence[StudyResult], null_value: float = 0.0
 ) -> PooledReport:
     """Fixed-effect inverse-variance pooling, then a two-sided normal test.
 
@@ -202,23 +235,19 @@ def pooled_homogeneity_test(
         raise ValueError("pooled_homogeneity_test requires at least one study")
     if not math.isfinite(null_value):
         raise ValueError(f"null value must be finite, got {null_value!r}")
-    bad = [st.id for st in studies if st.p is not None]
-    if bad:
-        raise ValueError(
-            f"pooled_homogeneity_test needs effect-form evidence; studies {bad} carry P-values"
-        )
+    estimate, std_error = _columns(studies, "pooled_homogeneity_test", p_form=False)
     # Weights relative to the smallest std error neither underflow nor overflow.
-    se_min = min(st.std_error for st in studies)
-    weights = [(se_min / st.std_error) ** 2 for st in studies]
+    se_min = min(std_error)
+    weights = [(se_min / se) ** 2 for se in std_error]
     total_w = math.fsum(weights)
-    pooled_estimate = math.fsum(w * st.estimate for w, st in zip(weights, studies)) / total_w
+    pooled_estimate = math.fsum(w * e for w, e in zip(weights, estimate)) / total_w
     pooled_se = se_min / math.sqrt(total_w)
     z = (pooled_estimate - null_value) / pooled_se
     if math.isinf(z):
         raise OverflowError("the pooled z-score (estimate - null) / std_error overflows")
     _, s_nats = _summary_from_chisq(1, z * z)  # the two-sided normal tail
     return PooledReport(
-        k=len(studies),
+        k=len(estimate),
         pooled_estimate=pooled_estimate,
         pooled_se=pooled_se,
         z=z,
@@ -228,7 +257,7 @@ def pooled_homogeneity_test(
 
 
 def compare_methods(
-    studies: list[StudyResult], null_value: float = 0.0
+    studies: Sequence[StudyResult], null_value: float = 0.0
 ) -> MethodComparison:
     """Run the S-summation and pooled tests side by side on effect-form studies.
 
@@ -236,13 +265,14 @@ def compare_methods(
     (estimate - null) / std_error.
     """
     pooled = pooled_homogeneity_test(studies, null_value)
-    z_scores = [(st.estimate - null_value) / st.std_error for st in studies]
-    for st, z in zip(studies, z_scores):
+    estimate, std_error = _columns(studies, "pooled_homogeneity_test", p_form=False)
+    z_scores = [(e - null_value) / se for e, se in zip(estimate, std_error)]
+    for i, z in enumerate(z_scores):
         if math.isinf(z):
             raise OverflowError(
-                f"study {st.id!r}: the z-score (estimate - null) / std_error overflows"
+                f"study {studies[i].id!r}: the z-score (estimate - null) / std_error overflows"
             )
-    fisher = _s_summation(len(studies), math.fsum(-math.log(_two_sided_p(z)) for z in z_scores))
+    fisher = _s_summation(len(z_scores), math.fsum(-math.log(_two_sided_p(z)) for z in z_scores))
     s_fisher = fisher.s_summary.value
     return MethodComparison(
         s_summation=fisher,
@@ -256,9 +286,10 @@ P_COLUMNS = ("id", "p")
 EFFECT_COLUMNS = ("id", "estimate", "std_error")
 
 
-def studies_from_csv(path: str | os.PathLike) -> list[StudyResult]:
+def studies_from_csv(path: str | os.PathLike) -> StudyTable:
     """Read a study table: header `id,p` or `id,estimate,std_error` (UTF-8, optional BOM).
 
+    Rows are validated straight into columns; rows of blank cells are skipped.
     Raises SchemaError on any layout or value problem, naming the physical line
     where the offending record ends; I/O errors propagate.
     """
@@ -272,34 +303,32 @@ def studies_from_csv(path: str | os.PathLike) -> list[StudyResult]:
                     f"{','.join(EFFECT_COLUMNS)}"
                 )
             header = tuple(h.strip().lower() for h in header)
-            if header == P_COLUMNS:
-                p_form = True
-            elif header == EFFECT_COLUMNS:
-                p_form = False
-            else:
+            if header not in (P_COLUMNS, EFFECT_COLUMNS):
                 raise SchemaError(
                     f"unrecognized columns {list(header)}; expected "
                     f"{','.join(P_COLUMNS)} or {','.join(EFFECT_COLUMNS)}"
                 )
-            studies: list[StudyResult] = []
+            p_form = header == P_COLUMNS
+            ids, columns = [], [array("d") for _ in header[1:]]
             for row in reader:
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != len(header):
-                    raise SchemaError(
-                        f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                    )
                 try:
+                    if len(row) != len(header):
+                        raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                    id_ = row[0].strip()
                     if p_form:
-                        studies.append(StudyResult.from_p(row[0].strip(), float(row[1])))
+                        columns[0].append(_check_p(float(row[1])))
                     else:
-                        studies.append(
-                            StudyResult.from_effect(row[0].strip(), float(row[1]), float(row[2]))
-                        )
+                        estimate, std_error = float(row[1]), float(row[2])
+                        _check_effect(id_, estimate, std_error)
+                        columns[0].append(estimate)
+                        columns[1].append(std_error)
                 except ValueError as exc:
-                    raise SchemaError(f"line {reader.line_num}: {exc}") from None
+                    if any(cell.strip() for cell in row):
+                        raise SchemaError(f"line {reader.line_num}: {exc}") from None
+                    continue  # a row of blank cells
+                ids.append(id_)
         except csv.Error as exc:  # a malformed line, say a field over csv.field_size_limit
             raise SchemaError(f"line {reader.line_num}: {exc}") from None
-    if not studies:
+    if not ids:
         raise SchemaError("study file contains a header but no data rows")
-    return studies
+    return StudyTable(tuple(ids), tuple(memoryview(col).toreadonly() for col in columns))

@@ -43,11 +43,14 @@ class PValue:
         v = self.value
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ValueError(f"P-value must be a real number, got {v!r}")
-        if math.isnan(v) or not (0.0 < v <= 1.0):
-            raise ValueError(
-                f"P-value must lie in the half-open interval (0, 1], got {v!r}"
-            )
-        object.__setattr__(self, "value", float(v))
+        object.__setattr__(self, "value", float(_check_p(v)))
+
+
+def _check_p(v: float) -> float:
+    """v itself if it lies in (0, 1]; the one P-value range check."""
+    if math.isnan(v) or not (0.0 < v <= 1.0):
+        raise ValueError(f"P-value must lie in the half-open interval (0, 1], got {v!r}")
+    return v
 
 
 @dataclass(frozen=True)

@@ -305,9 +305,11 @@ class TestArithmeticErrors:
     """Overflow and division by zero inside the numerics end in exit 2, not a traceback."""
 
     def test_calibrate_tiny_p(self, capsys):
-        code, out, err = run(capsys, "calibrate", "--p", "1e-320")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ")
+        # at 5e-324, p / 2 underflows to 0 before the quantile; at 1e-320, exp overflows
+        for p in ("5e-324", "1e-320"):
+            code, out, err = run(capsys, "calibrate", "--p", p)
+            assert (code, out) == (2, "")
+            assert err == f"error: the MLR exp(z^2 / 2) overflows at p = {p}\n"
 
     def test_binomial_many_trials(self, capsys):
         code, out, err = run(capsys, "simulate", "--generator", "binomial", "--n", "100",

@@ -3,6 +3,8 @@
 import csv
 import math
 import re
+from collections.abc import Sequence
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from svalue.combine import (
     Z_SQUARED_DF_CAVEAT,
     SchemaError,
     StudyResult,
+    StudyTable,
     compare_methods,
     pooled_homogeneity_test,
     s_summation_test,
@@ -29,6 +32,13 @@ def p_studies(*ps):
 
 def effect_studies(*pairs):
     return [StudyResult.from_effect(f"s{i}", est, se) for i, (est, se) in enumerate(pairs)]
+
+
+def write_studies(path, header, rows):
+    """A study CSV with ids s0, s1, ... and each value written by repr (exact round trip)."""
+    lines = [header] + [",".join([f"s{i}", *map(repr, row)]) for i, row in enumerate(rows)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 class TestStudyResult:
@@ -353,11 +363,27 @@ class TestCsvIngestion:
         ('id,p\n"a\nb",0.5\nc,0.5,9\n', "line 4: expected 2 fields, got 3"),
         ('id,estimate,std_error\n"a\nb",0.3,0.1\n\nc,0.3,0\n',
          "line 5: study 'c' std_error must be a positive finite number"),
-    ], ids=["value", "field-count", "effect-after-blank-line"])
+        ('id,p\n"a\nb",0.5\n , \nc,zero\n', "line 5: could not convert string to float: 'zero'"),
+    ], ids=["value", "field-count", "effect-after-blank-line", "value-after-blank-cells"])
     def test_error_names_physical_line_after_multiline_field(self, tmp_path, body, message):
         f = tmp_path / "multi.csv"
         f.write_text(body, encoding="utf-8")
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            studies_from_csv(f)
+
+    @pytest.mark.parametrize("body", [
+        "id,p\n,\na,0.5\n , \n , , \nb,0.25\n,\n",
+        "id,estimate,std_error\n,,\na,0.3,0.1\n , , \n,\nb,-0.5,0.25\n",
+    ], ids=["p", "effect"])
+    def test_rows_of_blank_cells_are_skipped(self, tmp_path, body):
+        f = tmp_path / "blank.csv"
+        f.write_text(body, encoding="utf-8")
+        assert [st.id for st in studies_from_csv(f)] == ["a", "b"]
+
+    def test_one_empty_cell_is_a_value_error(self, tmp_path):
+        f = tmp_path / "empty-cell.csv"
+        f.write_text("id,p\na,0.5\nb,\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"^line 3: could not convert string to float: ''$"):
             studies_from_csv(f)
 
     def test_schema_error_names_expected_columns(self, tmp_path):
@@ -369,3 +395,84 @@ class TestCsvIngestion:
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             studies_from_csv(tmp_path / "nope.csv")
+
+
+class TestStudyTable:
+    """studies_from_csv returns read-only columns that act as a sequence of StudyResult."""
+
+    @pytest.mark.parametrize("body, by_hand", [
+        ("id,p\na,0.05\nb,0.2\nc,1\n",
+         [StudyResult.from_p("a", 0.05), StudyResult.from_p("b", 0.2), StudyResult.from_p("c", 1.0)]),
+        ("id,estimate,std_error\na,0.3,0.1\nb,-0.5,0.25\nc,0,2\n",
+         [StudyResult.from_effect("a", 0.3, 0.1), StudyResult.from_effect("b", -0.5, 0.25),
+          StudyResult.from_effect("c", 0.0, 2.0)]),
+    ], ids=["p", "effect"])
+    def test_sequence_behaviour(self, tmp_path, body, by_hand):
+        f = tmp_path / "t.csv"
+        f.write_text(body, encoding="utf-8")
+        table = studies_from_csv(f)
+        assert isinstance(table, StudyTable) and isinstance(table, Sequence)
+        assert len(table) == 3
+        assert [table[i] for i in range(3)] == by_hand
+        assert [table[i] for i in (-1, -2, -3)] == by_hand[::-1]
+        assert list(table) == by_hand
+        for s in (slice(None), slice(1, None), slice(-2, None), slice(None, None, -2), slice(5, 9)):
+            assert table[s] == by_hand[s]
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                table[i]
+        assert table.index(by_hand[1]) == 1 and by_hand[2] in table
+
+    def test_read_only(self, tmp_path):
+        table = studies_from_csv(write_studies(tmp_path / "p.csv", "id,p", [(0.5,), (0.25,)]))
+        with pytest.raises(TypeError):
+            table.columns[0][0] = 0.125
+        with pytest.raises(FrozenInstanceError):
+            table.ids = ("x", "y")
+        assert table.ids == ("s0", "s1") and list(table.columns[0]) == [0.5, 0.25]
+
+    @pytest.mark.parametrize("null", [True, False], ids=["null", "non-null"])
+    def test_reports_equal_the_list_form(self, tmp_path, null):
+        rng = np.random.default_rng(13 if null else 14)
+        k = 10_000
+        ps = 1.0 - rng.random(k) if null else rng.beta(0.5, 4.0, size=k)
+        ses = rng.uniform(0.05, 2.0, size=k)
+        ests = rng.normal(0.0 if null else 0.2, 1.0, size=k) * ses
+        p_rows, e_rows = [(p,) for p in ps.tolist()], list(zip(ests.tolist(), ses.tolist()))
+        p_table = studies_from_csv(write_studies(tmp_path / "p.csv", "id,p", p_rows))
+        e_table = studies_from_csv(write_studies(tmp_path / "e.csv", "id,estimate,std_error", e_rows))
+        p_list, e_list = p_studies(*ps.tolist()), effect_studies(*e_rows)
+        assert list(p_table) == p_list and list(e_table) == e_list
+        assert s_summation_test(p_table) == s_summation_test(p_list)
+        assert pooled_homogeneity_test(e_table, 0.1) == pooled_homogeneity_test(e_list, 0.1)
+        assert compare_methods(e_table, 0.1) == compare_methods(e_list, 0.1)
+        # the CLI's z2 route reads the columns
+        z_columns = [(e - 0.1) / se for e, se in zip(*e_table.columns)]
+        z_list = [(st.estimate - 0.1) / st.std_error for st in e_list]
+        assert z_squared_test(z_columns) == z_squared_test(z_list)
+
+    def test_reading_and_combining_build_no_study_objects(self, tmp_path, monkeypatch):
+        built = []
+        for cls in (StudyResult, PValue):
+            def counting(self, check=cls.__post_init__):
+                built.append(type(self).__name__)
+                check(self)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        p_file = write_studies(tmp_path / "p.csv", "id,p", [(0.5,), (0.01,), (1.0,)])
+        e_file = write_studies(tmp_path / "e.csv", "id,estimate,std_error", [(0.3, 0.1), (-1, 2)])
+        s_summation_test(studies_from_csv(p_file))
+        effects = studies_from_csv(e_file)
+        pooled_homogeneity_test(effects)
+        compare_methods(effects)
+        assert built == []
+        list(studies_from_csv(p_file))  # the counter sees studies built on access
+        assert built == ["PValue", "StudyResult"] * 3
+
+    def test_wrong_form_names_every_study(self, tmp_path):
+        p_table = studies_from_csv(write_studies(tmp_path / "p.csv", "id,p", [(0.5,), (0.25,)]))
+        e_table = studies_from_csv(write_studies(tmp_path / "e.csv", "id,estimate,std_error",
+                                                 [(0.3, 0.1)]))
+        with pytest.raises(ValueError, match=re.escape("studies ['s0'] carry effects")):
+            s_summation_test(e_table)
+        with pytest.raises(ValueError, match=re.escape("studies ['s0', 's1'] carry P-values")):
+            compare_methods(p_table)
