@@ -19,6 +19,7 @@ from typing import Any
 from .calibrate import calibration_report
 from .combine import (
     SchemaError,
+    _study_z_scores,
     compare_methods,
     pooled_homogeneity_test,
     s_summation_test,
@@ -149,8 +150,7 @@ def cmd_combine(args: argparse.Namespace) -> dict:
             f"method {method} requires columns id,estimate,std_error; the input carries id,p"
         )
     if method == "z2":
-        z_scores = [(e - args.null) / se for e, se in zip(*studies.columns)]
-        return {"method": method, **_record(z_squared_test(z_scores))}
+        return {"method": method, **_record(z_squared_test(_study_z_scores(studies, args.null)))}
     if method == "pooled":
         return {"method": method, **_record(pooled_homogeneity_test(studies, args.null))}
     cmp_ = compare_methods(studies, args.null)

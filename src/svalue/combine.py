@@ -256,6 +256,20 @@ def pooled_homogeneity_test(
     )
 
 
+def _study_z_scores(studies: Sequence[StudyResult], null_value: float) -> list[float]:
+    """Each effect-form study's (estimate - null) / std_error, naming a study whose z overflows."""
+    if not math.isfinite(null_value):
+        raise ValueError(f"null value must be finite, got {null_value!r}")
+    estimate, std_error = _columns(studies, "pooled_homogeneity_test", p_form=False)
+    z_scores = [(e - null_value) / se for e, se in zip(estimate, std_error)]
+    for i, z in enumerate(z_scores):
+        if math.isinf(z):
+            raise OverflowError(
+                f"study {studies[i].id!r}: the z-score (estimate - null) / std_error overflows"
+            )
+    return z_scores
+
+
 def compare_methods(
     studies: Sequence[StudyResult], null_value: float = 0.0
 ) -> MethodComparison:
@@ -265,13 +279,7 @@ def compare_methods(
     (estimate - null) / std_error.
     """
     pooled = pooled_homogeneity_test(studies, null_value)
-    estimate, std_error = _columns(studies, "pooled_homogeneity_test", p_form=False)
-    z_scores = [(e - null_value) / se for e, se in zip(estimate, std_error)]
-    for i, z in enumerate(z_scores):
-        if math.isinf(z):
-            raise OverflowError(
-                f"study {studies[i].id!r}: the z-score (estimate - null) / std_error overflows"
-            )
+    z_scores = _study_z_scores(studies, null_value)
     fisher = _s_summation(len(z_scores), math.fsum(-math.log(_two_sided_p(z)) for z in z_scores))
     s_fisher = fisher.s_summary.value
     return MethodComparison(

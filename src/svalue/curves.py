@@ -44,11 +44,11 @@ def curve_point(spec: EstimateSpec, mu1: float, unit: InfoUnit = InfoUnit.BITS) 
     """The one-sided and two-sided P-/S-values at one hypothesized value mu1."""
     t = (spec.estimate - mu1) / spec.std_error
     k = unit.nats_per_unit
-    p_le = normal_cdf(-t)
-    p_two = 2.0 * normal_cdf(-abs(t))
+    p_ge, p_le = normal_cdf(t), normal_cdf(-t)
+    p_two = 2.0 * min(p_ge, p_le)  # 2 Phi(-|t|)
     return CurvePoint(
         mu1=mu1,
-        p_ge=normal_cdf(t),
+        p_ge=p_ge,
         p_le=p_le,
         s_le=SValue(-math.log(p_le) / k, unit),
         p_two=p_two,

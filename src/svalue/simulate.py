@@ -11,22 +11,23 @@ Kolmogorov-Smirnov fit report.
 numpy is imported on first use, by the functions that draw or sort samples,
 so `import svalue` and the CLI's other subcommands never load it.
 
-No path holds n draws. Each generator reduces its draws to the same
-sufficient statistics (n, mean of -ln P, M2 = sum of squared deviations from
-that mean, hits at each alpha) and one `_summarize` reports them. Uniform P
-values are drawn and reduced in chunks of CHUNK and merged with Chan et al.'s
-pairwise update; the exact binomial draws its outcome histogram in one
-multinomial, in O(trials) time and memory whatever n is. The KS report sorts
-one copy of its samples and scans it in chunks. Memory is O(CHUNK) for the
-simulations, O(n) for the KS report.
+No path holds n draws. Each generator hands over groups of P-values, each
+with its count k, the sum S and mean m of -ln P, M2 (the sum of squared
+deviations from m) and its hits at each alpha. One pooling step reports them:
+n = sum k, mean = fsum(S) / n and M2 = fsum(M2) + fsum(k (m - mean)^2).
+Uniform P-values are drawn in chunks of CHUNK, one group each; the exact
+binomial draws its outcome histogram in one multinomial, in O(trials) time and
+memory whatever n is, and each drawn outcome is a group with M2 = 0. The KS
+report sorts one copy of its samples and scans it in chunks. Memory is
+O(CHUNK) for the simulations, O(n) for the KS report.
 
 Reproducibility contract: draws come from numpy's PCG64 bit generator seeded
 with SeedSequence(entropy=seed, spawn_key=(stream,)). The same (seed, stream)
-pair yields bit-identical results across runs and platforms; parallel
-workers should take substreams (seed, stream + worker_index). Exact-binomial
-results for a given seed differ from versions that drew one outcome per
-replicate (same distribution, other draws), and uniform results above CHUNK
-draws may differ from single-pass ones in their last bit.
+pair yields bit-identical results across runs and platforms. The pooled sums
+are exactly rounded, so a summary does not depend on the order of its groups;
+parallel workers take substreams (seed, stream + worker_index) and pool their
+groups by the same formula. Uniform results above CHUNK draws may differ from
+a single pass over all draws in their last bit.
 """
 
 from __future__ import annotations
@@ -109,41 +110,30 @@ def _check_alphas(alphas: Sequence[float]) -> list[float]:
     return out
 
 
-# Sufficient statistics of a set of P-values: (n, mean of -ln p, M2, hits per alpha).
-_Stats = tuple[int, float, float, list[int]]
-
-
-def _chunk_stats(p: np.ndarray, alphas: list[float]) -> _Stats:
-    """Statistics of one chunk, by the expressions of numpy's mean and std."""
+def _chunk_group(p: np.ndarray, alphas: list[float]) -> tuple:
+    """One chunk of P-values as a group, its mean and M2 by numpy's mean and std."""
     import numpy as np
     s = np.log(p)
     np.negative(s, out=s)
     hits = [int(np.count_nonzero(p <= a)) for a in alphas]
-    mean = s.mean()
+    total = float(s.sum())
+    mean = total / p.size
     np.subtract(s, mean, out=s)
-    return p.size, float(mean), float(np.square(s, out=s).sum()), hits
+    return p.size, total, mean, float(np.square(s, out=s).sum()), hits
 
 
-def _merge(a: _Stats, b: _Stats) -> _Stats:
-    """Chan et al.'s pairwise update of two sets of statistics."""
-    na, mean_a, m2_a, hits_a = a
-    nb, mean_b, m2_b, hits_b = b
-    n = na + nb
-    delta = mean_b - mean_a
-    return (
-        n,
-        mean_a + delta * nb / n,
-        m2_a + m2_b + delta * delta * na * nb / n,
-        [x + y for x, y in zip(hits_a, hits_b)],
-    )
-
-
-def _summarize(stats: _Stats, alphas: list[float]) -> SimulationSummary:
-    n, mean_nats, m2, hits = stats
+def _pool(groups: list[tuple], alphas: list[float]) -> SimulationSummary:
+    """The one pooling step: summarize groups (count k, sum S of -ln p, mean m, M2 about m,
+    hits per alpha) by exactly rounded sums, which do not depend on the groups' order."""
+    counts, sums, means, m2s, hits = zip(*groups)
+    n = sum(counts)
+    mean_nats = math.fsum(sums) / n
+    devs = [m - mean_nats for m in means]
+    m2 = math.fsum(m2s) + math.fsum(k * (d * d) for k, d in zip(counts, devs))
     se = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.nan
     rates: dict[float, float] = {}
     violations = 0
-    for a, h in zip(alphas, hits):
+    for a, h in zip(alphas, map(sum, zip(*hits))):
         rate = h / n
         rates[a] = rate
         if rate > a + 3.0 * math.sqrt(a * (1.0 - a) / n):
@@ -159,26 +149,23 @@ def _summarize(stats: _Stats, alphas: list[float]) -> SimulationSummary:
     )
 
 
-def _null_stats(
+def _null_summary(
     generator: str,
     n: int,
     rng: RngSpec,
     alphas: list[float],
     trials: int | None = None,
     theta0: float | None = None,
-) -> _Stats:
-    """Statistics of n P-values drawn under the null of the uniform or exact-binomial generator."""
+) -> SimulationSummary:
+    """Summary of n P-values drawn under the null of the uniform or exact-binomial generator."""
     import numpy as np
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"replicate count must be a positive integer, got {n!r}")
     if generator == "uniform":
         gen = rng.generator()
-        stats = None
-        for start in range(0, n, CHUNK):
-            # 1 - U keeps the draw in (0, 1]; numpy's random() can return exactly 0.
-            chunk = _chunk_stats(1.0 - gen.random(min(CHUNK, n - start)), alphas)
-            stats = chunk if stats is None else _merge(stats, chunk)
-        return stats
+        # 1 - U keeps the draw in (0, 1]; numpy's random() can return exactly 0.
+        return _pool([_chunk_group(1.0 - gen.random(min(CHUNK, n - start)), alphas)
+                      for start in range(0, n, CHUNK)], alphas)
     if generator != "binomial":
         raise ValueError(f"unknown generator {generator!r}; expected uniform or binomial")
     if trials is None or theta0 is None:
@@ -190,10 +177,10 @@ def _null_stats(
     # An unreachable outcome's tail can underflow to 0, and 0 * inf is NaN.
     seen = counts > 0
     counts, p = counts[seen], tails[seen]
-    s = -np.log(p)
-    mean = math.fsum(counts * s) / n
-    m2 = math.fsum(counts * (s - mean) ** 2)
-    return n, mean, m2, [int(counts[p <= a].sum()) for a in alphas]
+    # Each drawn outcome is a group of k equal P-values with mean s; (k * s) / k need not be s.
+    return _pool([(k, k * s, s, 0.0, [k if px <= a else 0 for a in alphas])
+                  for k, s, px in zip(counts.tolist(), (-np.log(p)).tolist(), p.tolist())],
+                 alphas)
 
 
 def simulate_uniform_p(
@@ -205,7 +192,7 @@ def simulate_uniform_p(
     rejection rate at each alpha targets alpha itself.
     """
     alphas = _check_alphas(alphas)
-    return _summarize(_null_stats("uniform", n, rng, alphas), alphas)
+    return _null_summary("uniform", n, rng, alphas)
 
 
 def binomial_upper_tail_pvalues(trials: int, theta0: float) -> list[float]:
@@ -259,7 +246,7 @@ def simulate_exact_binomial(
     most ~1 nat, read as minimum information against the null.
     """
     alphas = _check_alphas(alphas)
-    return _summarize(_null_stats("binomial", n_reps, rng, alphas, trials, theta0), alphas)
+    return _null_summary("binomial", n_reps, rng, alphas, trials, theta0)
 
 
 def evalue_check(
@@ -275,7 +262,7 @@ def evalue_check(
     below 1. Passes when the sample mean minus 3 standard errors does not
     exceed 1. Small n is flagged, not failed.
     """
-    summary = _summarize(_null_stats(generator, n, rng, [], trials, theta0), [])
+    summary = _null_summary(generator, n, rng, [], trials, theta0)
     mean, se = summary.mean_s_nats, summary.se_of_mean
     margin = 3.0 * se if math.isfinite(se) else 0.0
     if generator == "binomial":

@@ -87,7 +87,11 @@ def convert(s: SValue, target: InfoUnit) -> SValue:
 
 def from_surprisal(s: SValue) -> PValue:
     """Invert surprisal: the P-value whose surprisal in s.unit equals s.value."""
-    return PValue(math.exp(-s.value * s.unit.nats_per_unit))
+    p = math.exp(-s.value * s.unit.nats_per_unit)
+    if p == 0.0:
+        raise ValueError(f"S-value {s.value!r} {s.unit.value} gives a P-value below the "
+                         "smallest positive double")
+    return PValue(p)
 
 
 def coin_toss_gauge(p: PValue) -> int:

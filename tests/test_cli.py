@@ -59,6 +59,13 @@ class TestConvert:
         assert payload["p"] == pytest.approx(0.1, rel=1e-12, abs=0)
         assert payload["s_bits"] == pytest.approx(math.log2(10.0), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("s, unit", [("746", "nats"), ("2000", "bits"), ("inf", "bits")])
+    def test_s_past_the_smallest_p_names_the_s_value(self, capsys, s, unit):
+        code, out, err = run(capsys, "convert", "--s", s, "--from-unit", unit)
+        assert (code, out) == (2, "")
+        assert err == (f"error: S-value {float(s)!r} {unit} gives a P-value below the "
+                       "smallest positive double\n")
+
     def test_conflicting_flags(self, capsys):
         code, _, err = run(capsys, "convert", "--p", "0.5", "--s", "1.0")
         assert code == 2
@@ -339,15 +346,16 @@ class TestArithmeticErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "overflows" in err
 
-    def test_overflowing_study_z_names_the_study(self, capsys, tmp_path):
+    @pytest.mark.parametrize("method", ["compare", "z2"])
+    def test_overflowing_study_z_names_the_study(self, capsys, tmp_path, method):
         # the pooled z is 1e300, finite; study a's own z overflows
         f = tmp_path / "big.csv"
         f.write_text("id,estimate,std_error\na,1e300,1e-10\nb,0,1e-20\n", encoding="utf-8")
-        code, out, err = run(capsys, "combine", "--input", str(f), "--method", "compare")
+        code, out, err = run(capsys, "combine", "--input", str(f), "--method", method)
         assert (code, out) == (2, "")
         assert err == "error: study 'a': the z-score (estimate - null) / std_error overflows\n"
 
-    @pytest.mark.parametrize("method", ["pooled", "compare"])
+    @pytest.mark.parametrize("method", ["pooled", "compare", "z2"])
     @pytest.mark.parametrize("null", ["nan", "inf"])
     def test_non_finite_null(self, capsys, effect_csv, method, null):
         code, out, err = run(capsys, "combine", "--input", effect_csv, "--method", method,

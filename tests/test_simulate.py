@@ -1,6 +1,7 @@
 """Monte Carlo harness tests: determinism, calibration bands, dominance, KS."""
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from svalue.simulate import (
     CHUNK,
     RngSpec,
+    _chunk_group,
+    _pool,
     binomial_upper_tail_pvalues,
     distribution_report,
     evalue_check,
@@ -101,6 +104,24 @@ class TestSimulateUniformP:
             simulate_uniform_p(100, RngSpec(0), [0.0])
         with pytest.raises(ValueError):
             simulate_uniform_p(100, RngSpec(0), [1.0])
+
+
+class TestPooling:
+    def test_group_order_does_not_matter(self):
+        # uniform chunks of uneven sizes beside outcome groups of equal P-values
+        alphas = [0.01, 0.05, 0.5]
+        gen = RngSpec(3, 1).generator()
+        groups = [_chunk_group(1.0 - gen.random(size), alphas) for size in (CHUNK, 1000, 7, CHUNK, 1)]
+        for k, p in ((5, 1.0), (40, 0.3), (1, 1e-300), (999, 0.04)):
+            s = -math.log(p)
+            groups.append((k, k * s, s, 0.0, [k if p <= a else 0 for a in alphas]))
+        want = _pool(groups, alphas)
+        assert want.n == 2 * CHUNK + 1008 + 1045
+        assert _pool(groups[::-1], alphas) == want
+        shuffler = random.Random(5)
+        for _ in range(20):
+            shuffler.shuffle(groups)
+            assert _pool(groups, alphas) == want
 
 
 class TestBinomialTails:

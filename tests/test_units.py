@@ -134,6 +134,18 @@ class TestFromSurprisal:
             0.05, rel=1e-12, abs=0
         )
 
+    @pytest.mark.parametrize("value, unit", [
+        (746.0, InfoUnit.NATS), (2000.0, InfoUnit.BITS), (324.0, InfoUnit.DITS),
+        (math.inf, InfoUnit.BITS),
+    ])
+    def test_past_the_smallest_p_names_the_s_value(self, value, unit):
+        # e^-746 and smaller round to 0.0, a P-value the caller never gave
+        with pytest.raises(ValueError, match=rf"^S-value {value!r} {unit.value} gives a P-value below"):
+            from_surprisal(SValue(value, unit))
+
+    def test_smallest_p_is_reached(self):
+        assert from_surprisal(SValue(745.0, InfoUnit.NATS)).value == 5e-324
+
     def test_round_trip_identity(self):
         rng = np.random.default_rng(25)
         for p in rng.uniform(1e-10, 1.0, size=200):
