@@ -25,7 +25,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .specfun import ChiSquare, log_chisq_survival, normal_cdf
+from .specfun import ChiSquare, _two_sided_tail, log_chisq_survival, normal_cdf
 from .units import InfoUnit, PValue, SValue, _check_p
 
 Z_SQUARED_DF_CAVEAT = (
@@ -164,11 +164,6 @@ def _summary_from_chisq(df: int, x: float) -> tuple[float, float]:
     return math.exp(-s), s
 
 
-def _two_sided_p(z: float) -> float:
-    # erfc-based tail: no cancellation for large |z|.
-    return 2.0 * normal_cdf(-abs(z))
-
-
 def s_summation_test(studies: Sequence[StudyResult]) -> CombinationReport:
     """Fisher-style combination of per-study P-values in surprisal form.
 
@@ -251,7 +246,7 @@ def pooled_homogeneity_test(
         pooled_estimate=pooled_estimate,
         pooled_se=pooled_se,
         z=z,
-        p_two_sided=_two_sided_p(z),
+        p_two_sided=2.0 * normal_cdf(-abs(z)),
         s_summary=SValue(s_nats, InfoUnit.NATS),
     )
 
@@ -276,11 +271,14 @@ def compare_methods(
     """Run the S-summation and pooled tests side by side on effect-form studies.
 
     Per-study P-values for the S-summation route are two-sided normal, from
-    (estimate - null) / std_error.
+    (estimate - null) / std_error; their surprisals stay finite where the P-values underflow.
     """
+    if not studies:
+        raise ValueError("compare_methods requires at least one study")
+    _columns(studies, "compare_methods", p_form=False)  # checked here, so errors name this function
     pooled = pooled_homogeneity_test(studies, null_value)
     z_scores = _study_z_scores(studies, null_value)
-    fisher = _s_summation(len(z_scores), math.fsum(-math.log(_two_sided_p(z)) for z in z_scores))
+    fisher = _s_summation(len(z_scores), math.fsum(-_two_sided_tail(z)[1] for z in z_scores))
     s_fisher = fisher.s_summary.value
     return MethodComparison(
         s_summation=fisher,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import normal_cdf
+from .specfun import _two_sided_tail, normal_cdf
 from .units import InfoUnit, SValue
 
 
@@ -44,15 +44,16 @@ def curve_point(spec: EstimateSpec, mu1: float, unit: InfoUnit = InfoUnit.BITS) 
     """The one-sided and two-sided P-/S-values at one hypothesized value mu1."""
     t = (spec.estimate - mu1) / spec.std_error
     k = unit.nats_per_unit
-    p_ge, p_le = normal_cdf(t), normal_cdf(-t)
-    p_two = 2.0 * min(p_ge, p_le)  # 2 Phi(-|t|)
+    p_two, log_p_two = _two_sided_tail(t)  # 2 Phi(-|t|); its log stays finite where it underflows
+    p_near = normal_cdf(abs(t))  # the one-sided P on the estimate's side, >= 1/2
+    p_ge, p_le = (p_near, 0.5 * p_two) if t >= 0.0 else (0.5 * p_two, p_near)
     return CurvePoint(
         mu1=mu1,
         p_ge=p_ge,
         p_le=p_le,
         s_le=SValue(-math.log(p_le) / k, unit),
         p_two=p_two,
-        s_two=SValue(-math.log(p_two) / k, unit),
+        s_two=SValue(-log_p_two / k, unit),
     )
 
 

@@ -24,10 +24,9 @@ O(CHUNK) for the simulations, O(n) for the KS report.
 Reproducibility contract: draws come from numpy's PCG64 bit generator seeded
 with SeedSequence(entropy=seed, spawn_key=(stream,)). The same (seed, stream)
 pair yields bit-identical results across runs and platforms. The pooled sums
-are exactly rounded, so a summary does not depend on the order of its groups;
-parallel workers take substreams (seed, stream + worker_index) and pool their
-groups by the same formula. Uniform results above CHUNK draws may differ from
-a single pass over all draws in their last bit.
+are exactly rounded, so a summary does not depend on the order of its groups.
+Uniform results above CHUNK draws may differ from a single pass over all draws
+in their last bit.
 """
 
 from __future__ import annotations
@@ -63,9 +62,6 @@ class RngSpec:
         import numpy as np
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.PCG64(seq))
-
-    def substream(self, index: int) -> "RngSpec":
-        return RngSpec(self.seed, self.stream + index)
 
 
 @dataclass(frozen=True)
@@ -149,40 +145,6 @@ def _pool(groups: list[tuple], alphas: list[float]) -> SimulationSummary:
     )
 
 
-def _null_summary(
-    generator: str,
-    n: int,
-    rng: RngSpec,
-    alphas: list[float],
-    trials: int | None = None,
-    theta0: float | None = None,
-) -> SimulationSummary:
-    """Summary of n P-values drawn under the null of the uniform or exact-binomial generator."""
-    import numpy as np
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"replicate count must be a positive integer, got {n!r}")
-    if generator == "uniform":
-        gen = rng.generator()
-        # 1 - U keeps the draw in (0, 1]; numpy's random() can return exactly 0.
-        return _pool([_chunk_group(1.0 - gen.random(min(CHUNK, n - start)), alphas)
-                      for start in range(0, n, CHUNK)], alphas)
-    if generator != "binomial":
-        raise ValueError(f"unknown generator {generator!r}; expected uniform or binomial")
-    if trials is None or theta0 is None:
-        raise ValueError("binomial generator requires trials and theta0")
-    tails = np.asarray(binomial_upper_tail_pvalues(trials, theta0))
-    # The counts of n iid outcomes are Multinomial(n, pmf); the differences of
-    # the tails telescope to 1, so the pmf passes numpy's sum check.
-    counts = rng.generator().multinomial(n, tails - np.append(tails[1:], 0.0))
-    # An unreachable outcome's tail can underflow to 0, and 0 * inf is NaN.
-    seen = counts > 0
-    counts, p = counts[seen], tails[seen]
-    # Each drawn outcome is a group of k equal P-values with mean s; (k * s) / k need not be s.
-    return _pool([(k, k * s, s, 0.0, [k if px <= a else 0 for a in alphas])
-                  for k, s, px in zip(counts.tolist(), (-np.log(p)).tolist(), p.tolist())],
-                 alphas)
-
-
 def simulate_uniform_p(
     n: int, rng: RngSpec, alphas: Sequence[float] = (0.01, 0.05, 0.1)
 ) -> SimulationSummary:
@@ -192,7 +154,12 @@ def simulate_uniform_p(
     rejection rate at each alpha targets alpha itself.
     """
     alphas = _check_alphas(alphas)
-    return _null_summary("uniform", n, rng, alphas)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"replicate count must be a positive integer, got {n!r}")
+    gen = rng.generator()
+    # 1 - U keeps the draw in (0, 1]; numpy's random() can return exactly 0.
+    return _pool([_chunk_group(1.0 - gen.random(min(CHUNK, n - start)), alphas)
+                  for start in range(0, n, CHUNK)], alphas)
 
 
 def binomial_upper_tail_pvalues(trials: int, theta0: float) -> list[float]:
@@ -245,8 +212,21 @@ def simulate_exact_binomial(
     (dominance_violations counts the failures), and the mean surprisal is at
     most ~1 nat, read as minimum information against the null.
     """
+    import numpy as np
     alphas = _check_alphas(alphas)
-    return _null_summary("binomial", n_reps, rng, alphas, trials, theta0)
+    if not isinstance(n_reps, int) or isinstance(n_reps, bool) or n_reps < 1:
+        raise ValueError(f"replicate count must be a positive integer, got {n_reps!r}")
+    tails = np.asarray(binomial_upper_tail_pvalues(trials, theta0))
+    # The counts of n_reps iid outcomes are Multinomial(n_reps, pmf); the differences of
+    # the tails telescope to 1, so the pmf passes numpy's sum check.
+    counts = rng.generator().multinomial(n_reps, tails - np.append(tails[1:], 0.0))
+    # An unreachable outcome's tail can underflow to 0, and 0 * inf is NaN.
+    seen = counts > 0
+    counts, p = counts[seen], tails[seen]
+    # Each drawn outcome is a group of k equal P-values with mean s; (k * s) / k need not be s.
+    return _pool([(k, k * s, s, 0.0, [k if px <= a else 0 for a in alphas])
+                  for k, s, px in zip(counts.tolist(), (-np.log(p)).tolist(), p.tolist())],
+                 alphas)
 
 
 def evalue_check(
@@ -262,11 +242,17 @@ def evalue_check(
     below 1. Passes when the sample mean minus 3 standard errors does not
     exceed 1. Small n is flagged, not failed.
     """
-    summary = _null_summary(generator, n, rng, [], trials, theta0)
+    if generator == "uniform":
+        summary = simulate_uniform_p(n, rng, ())
+    elif generator == "binomial":
+        if trials is None or theta0 is None:
+            raise ValueError("binomial generator requires trials and theta0")
+        summary = simulate_exact_binomial(n, trials, theta0, rng, ())
+        generator = f"binomial(trials={trials}, theta0={theta0})"
+    else:
+        raise ValueError(f"unknown generator {generator!r}; expected uniform or binomial")
     mean, se = summary.mean_s_nats, summary.se_of_mean
     margin = 3.0 * se if math.isfinite(se) else 0.0
-    if generator == "binomial":
-        generator = f"binomial(trials={trials}, theta0={theta0})"
     return EValueCheck(
         n=n,
         generator=generator,

@@ -9,7 +9,9 @@ closed forms, brute-force quadrature and frozen mpmath values. It returns
 ln Q, so deep tails stay finite; a caller that wants Q itself takes its exp.
 The kernel follows the classic split: power series for x < a + 1, continued
 fraction (modified Lentz) otherwise. Both loops stop once a step no longer
-changes their result. Near x = a they need about 9 sqrt(a) steps, so the
+changes their result, and the continued fraction also once a step's factor is
+within an ulp of 1: for large x rounding alone can hold that factor an ulp off
+1 at every step. Near x = a they need about 9 sqrt(a) steps, so the
 iteration bound grows with sqrt(a). For large a the prefactor
 x^a e^-x / Gamma(a) is taken as a (ln(1 + t) - t) + ln(a / 2 pi) / 2 minus
 the Stirling remainder of ln Gamma(a), with t = x / a - 1, instead of from
@@ -23,7 +25,8 @@ import math
 from dataclasses import dataclass
 
 # Convergence policy: the series sum and the continued fraction's h are final once
-# a step leaves them unchanged; both give up loudly after MAX_ITER + 10 sqrt(a) steps.
+# a step leaves them unchanged, h also once a step's factor is within an ulp of 1;
+# both give up loudly after MAX_ITER + 10 sqrt(a) steps.
 MAX_ITER = 500
 
 _SQRT2 = math.sqrt(2.0)
@@ -109,8 +112,10 @@ def _upper_cf_factor(a: float, x: float, max_iter: int) -> float:
         d = 1.0 / d
         delta = d * c
         h_next = h * delta
-        # h_next == h means the term fell below half an ulp of the sum.
-        if h_next == h:
+        # h_next == h means the term fell below half an ulp of the sum. For large x
+        # (seen from x = 2.5e11, and mostly past 4.5e15) rounding can hold delta an ulp
+        # off 1 at every step, so h drifts and never repeats: a delta that close stops too.
+        if h_next == h or abs(delta - 1.0) <= 2.0 ** -52:
             return h_next
         h = h_next
     raise ConvergenceError(
@@ -142,6 +147,13 @@ def log_chisq_survival(dist: ChiSquare, x: float) -> float:
     if not (x >= 0.0) or math.isnan(x):
         raise ValueError(f"chi-squared statistic must be >= 0, got {x!r}")
     return log_reg_gamma_upper(dist.df / 2.0, x / 2.0)
+
+
+def _two_sided_tail(z: float) -> tuple[float, float]:
+    """2 Phi(-|z|) = erfc(|z| / sqrt 2) and its log, which stays finite where the tail
+    underflows: below 2^-1021 the log is the kernel's ln Q(1/2, z^2 / 2) instead."""
+    p = math.erfc(abs(z) / _SQRT2)
+    return p, math.log(p) if p >= 2.0 ** -1021 else log_reg_gamma_upper(0.5, z * z / 2.0)
 
 
 def normal_cdf(z: float) -> float:

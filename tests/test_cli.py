@@ -137,6 +137,27 @@ class TestCombine:
         payload = strict_json(out)
         assert {"s_summation", "pooled", "difference_nats"} <= payload.keys()
 
+    @pytest.mark.parametrize("method", ["pooled", "z2"])
+    def test_one_study_past_two_to_the_54(self, capsys, tmp_path, method):
+        # the gamma kernel's continued fraction runs at x = z^2 / 2 = 2.056e16 > 2^54
+        f = tmp_path / "far.csv"
+        f.write_text("id,estimate,std_error\na,202800000.0,1\n", encoding="utf-8")
+        code, out, err = run(capsys, "combine", "--input", str(f), "--method", method,
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        s_nats = strict_json(out)["s_summary_nats"]
+        assert s_nats == pytest.approx(20563920000000019.35352218, rel=1e-15, abs=0)  # mpmath
+
+    def test_compare_past_the_smallest_p(self, capsys, tmp_path):
+        # study a's two-sided P underflows; its S is -ln erfc(40 / sqrt 2), study b's that at 0.5
+        f = tmp_path / "far.csv"
+        f.write_text("id,estimate,std_error\na,40,1\nb,0.5,1\n", encoding="utf-8")
+        code, out, err = run(capsys, "combine", "--input", str(f), "--method", "compare",
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        s_plus = strict_json(out)["s_summation"]["s_plus_nats"]
+        assert s_plus == pytest.approx(804.3980594142275161566521, rel=1e-15, abs=0)  # mpmath
+
     def test_missing_file_is_exit_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "combine", "--input", str(tmp_path / "nope.csv"))
         assert code == 1
@@ -232,6 +253,16 @@ class TestCurve:
         rows = strict_json(out)
         assert len(rows) == 3
         assert rows[0]["unit"] == "nats"
+
+    def test_s_two_past_the_smallest_p(self, capsys):
+        code, out, err = run(capsys, "curve", "--estimate", "0", "--se", "1", "--from", "0",
+                             "--to", "60", "--steps", "4", "--unit", "nats", "--format", "json")
+        assert (code, err) == (0, "")
+        rows = strict_json(out)
+        assert [r["p_two"] for r in rows[2:]] == [0.0, 0.0]
+        # mpmath: -ln erfc(t / sqrt 2) at t = 40 and 60
+        assert rows[2]["s_two"] == pytest.approx(803.9152948331938428571896, rel=1e-15, abs=0)
+        assert rows[3]["s_two"] == pytest.approx(1804.32041350000719339125, rel=1e-15, abs=0)
 
     def test_bad_grid(self, capsys):
         code, _, _ = run(capsys, "curve", "--estimate", "0", "--se", "1",

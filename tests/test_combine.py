@@ -476,3 +476,8 @@ class TestStudyTable:
             s_summation_test(e_table)
         with pytest.raises(ValueError, match=re.escape("studies ['s0', 's1'] carry P-values")):
             compare_methods(p_table)
+        with pytest.raises(ValueError, match=re.escape(
+                "compare_methods needs effect-form evidence; studies ['a'] carry P-values")):
+            compare_methods([StudyResult.from_p("a", 0.5)])
+        with pytest.raises(ValueError, match="compare_methods requires at least one study"):
+            compare_methods([])

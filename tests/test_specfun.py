@@ -7,6 +7,7 @@ import pytest
 
 from svalue.specfun import (
     ChiSquare,
+    _two_sided_tail,
     log_chisq_survival,
     log_reg_gamma_upper,
     normal_cdf,
@@ -32,6 +33,27 @@ LOG_Q_LARGE_A = {
     (5000000.0, 4950000.0): -8.8644602711023137375954374079585345125211493113489e-112,
     (5000000.0, 5000000.0): -0.69326612924193497002132127157116366712252285730637,
     (5000000.0, 5050000.0): -252.37398669756333412691426001330303498708753294806,
+}
+
+# ln Q(a, x) past x = 2^54, where the continued fraction's b += 2 no longer
+# changes b: mpmath 1.3.0 at 60 digits (log of the upper gammainc), rounded to 25.
+LOG_Q_HUGE_X = {
+    (0.5, 2.4e16): -24000000000000019.43078006,
+    (1.5, 2.4e16): -23999999999999981.02080265,
+    (50.0, 2.4e16): -23999999999998296.44106291,
+    (1e4, 2.4e16): -23999999999704969.13207408,
+    (0.5, 2.0**54): -18014398509482003.28733882,
+    (1.5, 2.0**54): -18014398509481965.16424389,
+    (50.0, 2.0**54): -18014398509480294.49830418,
+    (1e4, 2.0**54): -18014398509189821.66994182,
+    (0.5, 1e20): -100000000000000000023.5982,
+    (1.5, 1e20): -99999999999999999976.85337,
+    (50.0, 1e20): -99999999999999997888.03235,
+    (1e4, 1e20): -99999999999999621628.7506,
+    (0.5, 1e300): -1.00000000000000005250476e300,
+    (1.5, 1e300): -1.00000000000000005250476e300,
+    (50.0, 1e300): -1.00000000000000005250476e300,
+    (1e4, 1e300): -1.00000000000000005250476e300,
 }
 
 
@@ -82,6 +104,15 @@ class TestRegGammaUpper:
     @pytest.mark.parametrize("a,x", sorted(LOG_Q_LARGE_A))
     def test_large_shape_matches_mpmath(self, a, x):
         assert log_reg_gamma_upper(a, x) == pytest.approx(LOG_Q_LARGE_A[(a, x)], rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("a,x", sorted(LOG_Q_HUGE_X))
+    def test_huge_x_matches_mpmath(self, a, x):
+        assert log_reg_gamma_upper(a, x) == pytest.approx(LOG_Q_HUGE_X[(a, x)], rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("x", [2.4e16, 2.0**54, 1e20, 1e300])
+    def test_huge_x_exponential_case(self, x):
+        # ln Q(1, x) = -x
+        assert log_reg_gamma_upper(1.0, x) == pytest.approx(-x, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("a,x", [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.nan)])
     def test_domain(self, a, x):
@@ -136,6 +167,27 @@ class TestChiSquare:
     def test_negative_statistic_rejected(self):
         with pytest.raises(ValueError):
             log_chisq_survival(ChiSquare(2), -1.0)
+
+
+# ln 2 Phi(-|z|) = ln erfc(|z| / sqrt 2): mpmath 1.3.0 at 50 digits, rounded to 25. The
+# two middle z straddle the switch from log(erfc) to the kernel, where erfc = 2^-1021.
+LOG_TWO_SIDED = {
+    -8.0: -34.3202899793546045860869,
+    37.0: -688.337438396330648291455,
+    37.5193793471445: -707.7032713517041869416965,
+    37.51937934714451: -707.703271351704453722033,
+    -40.0: -803.9152948331938428571896,
+    1e3: -500007.1335476316243644968,
+    1e8: -5000000000000018.646472097,
+}
+
+
+class TestTwoSidedTail:
+    @pytest.mark.parametrize("z", sorted(LOG_TWO_SIDED))
+    def test_log_matches_mpmath(self, z):
+        p, log_p = _two_sided_tail(z)
+        assert log_p == pytest.approx(LOG_TWO_SIDED[z], rel=1e-15, abs=0)
+        assert p == math.erfc(abs(z) / math.sqrt(2.0))  # 0.0 at |z| = 40
 
 
 class TestNormalCdf:
