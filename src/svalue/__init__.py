@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "calibrate": ("BF_BOUND_MAX_P", "CalibrationReport", "calibration_report"),
     "combine": ("CombinationReport", "MethodComparison", "PooledReport", "SchemaError",
-                "StudyResult", "StudyTable", "ZSquaredReport", "compare_methods",
+                "Study", "StudyTable", "ZSquaredReport", "compare_methods",
                 "pooled_homogeneity_test", "s_summation_test", "studies_from_csv", "z_squared_test"),
     "curves": ("CurvePoint", "EstimateSpec", "curve", "curve_point"),
     "simulate": ("DistributionReport", "EValueCheck", "RngSpec", "SimulationSummary",

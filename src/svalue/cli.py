@@ -18,7 +18,6 @@ from typing import Any
 
 from .calibrate import calibration_report
 from .combine import (
-    SchemaError,
     _study_z_scores,
     compare_methods,
     pooled_homogeneity_test,
@@ -139,18 +138,12 @@ def cmd_convert(args: argparse.Namespace) -> dict:
 
 def cmd_combine(args: argparse.Namespace) -> dict:
     studies = studies_from_csv(args.input)
-    p_form = len(studies.columns) == 1
     method = args.method
     if method == "s-sum":
-        if not p_form:
-            raise SchemaError("method s-sum requires columns id,p; the input carries id,estimate,std_error")
         return {"method": method, **_record(s_summation_test(studies))}
-    if p_form:
-        raise SchemaError(
-            f"method {method} requires columns id,estimate,std_error; the input carries id,p"
-        )
     if method == "z2":
-        return {"method": method, **_record(z_squared_test(_study_z_scores(studies, args.null)))}
+        z_scores = _study_z_scores(studies, args.null, "z_squared_test")
+        return {"method": method, **_record(z_squared_test(z_scores))}
     if method == "pooled":
         return {"method": method, **_record(pooled_homogeneity_test(studies, args.null))}
     cmp_ = compare_methods(studies, args.null)

@@ -1,7 +1,7 @@
 """Evidence combination across independent studies.
 
-Three routes are provided, each computed from float columns of the studies: a
-StudyTable's own, as `studies_from_csv` validates rows into them, or gathered in one pass:
+Three routes are provided, each computed from the float columns of a StudyTable, which
+`studies_from_csv` and `StudyTable.from_columns` check study by study:
 
 * the S-summation test (Fisher's method in surprisal form): sum the per-study
   surprisals in nats and refer twice the sum to a chi-squared distribution on
@@ -24,9 +24,10 @@ import os
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .specfun import ChiSquare, _two_sided_tail, log_chisq_survival, normal_cdf
-from .units import InfoUnit, PValue, SValue, _check_p
+from .units import InfoUnit, SValue, _check_p
 
 Z_SQUARED_DF_CAVEAT = (
     "df = K assumes no cross-study information was used to compute the "
@@ -36,76 +37,77 @@ Z_SQUARED_DF_CAVEAT = (
 
 
 class SchemaError(ValueError):
-    """A study CSV file does not match the expected column layout."""
-
-
-@dataclass(frozen=True)
-class StudyResult:
-    """One study's evidence: either a P-value or an (estimate, std error) pair."""
-
-    id: str
-    p: PValue | None = None
-    estimate: float | None = None
-    std_error: float | None = None
-
-    def __post_init__(self) -> None:
-        has_effect = self.estimate is not None or self.std_error is not None
-        if (self.p is not None) == has_effect:
-            raise ValueError(
-                f"study {self.id!r} must carry exactly one of a P-value or an "
-                "(estimate, std_error) pair"
-            )
-        if has_effect:
-            _check_effect(self.id, self.estimate, self.std_error)
-
-    @classmethod
-    def from_p(cls, id: str, p: float) -> "StudyResult":
-        return cls(id=id, p=PValue(p))
-
-    @classmethod
-    def from_effect(cls, id: str, estimate: float, std_error: float) -> "StudyResult":
-        return cls(id=id, estimate=float(estimate), std_error=float(std_error))
+    """A study file or table does not have the columns that are expected of it."""
 
 
 def _check_effect(id: str, estimate: float, std_error: float) -> None:
     """The one check of an effect-form study's estimate and std error."""
-    if estimate is None or std_error is None:
-        raise ValueError(f"study {id!r} effect form needs both estimate and std_error")
     if math.isnan(estimate) or math.isinf(estimate):
         raise ValueError(f"study {id!r} estimate must be finite")
     if not (std_error > 0.0) or math.isinf(std_error):
         raise ValueError(f"study {id!r} std_error must be a positive finite number")
 
 
+class Study(NamedTuple):
+    """One row of a StudyTable: an id and either p or (estimate, std_error); the other is None."""
+
+    id: str
+    p: float | None = None
+    estimate: float | None = None
+    std_error: float | None = None
+
+
+P_COLUMNS = ("id", "p")
+EFFECT_COLUMNS = ("id", "estimate", "std_error")
+
+
 @dataclass(frozen=True, eq=False)
 class StudyTable(Sequence):
-    """Studies read by `studies_from_csv` into read-only `ids` and value `columns`, (p,) or
-    (estimate, std_error). Indexing builds each StudyResult on access; a slice gives a list."""
+    """Checked studies as read-only `ids` and float `columns`, (p,) or (estimate, std_error).
+
+    `studies_from_csv` reads one from a file and `from_columns` builds one in memory. Indexing
+    gives a Study row, built without checking again; a slice gives a list."""
 
     ids: Sequence[str]
     columns: tuple[Sequence[float], ...]
 
+    @classmethod
+    def from_columns(cls, ids: Sequence[str], *columns: Sequence[float]) -> StudyTable:
+        """The studies `ids` with a p column or estimate and std_error columns, each study
+        checked as `studies_from_csv` checks a row."""
+        if len(columns) not in (1, 2):
+            raise TypeError("from_columns takes ids and either p or estimate, std_error")
+        ids, columns = tuple(ids), [array("d", col) for col in columns]
+        if not ids:
+            raise ValueError("a StudyTable needs at least one study")
+        if any(len(col) != len(ids) for col in columns):
+            raise ValueError(f"{len(ids)} ids but columns of {[len(c) for c in columns]} values")
+        check = _check_effect if len(columns) == 2 else lambda id_, p: _check_p(p)
+        for row in zip(ids, *columns):
+            check(*row)
+        return cls(ids, tuple(memoryview(col).toreadonly() for col in columns))
+
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, i: int | slice) -> StudyResult | list[StudyResult]:
+    def __getitem__(self, i: int | slice) -> Study | list[Study]:
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
-        build = StudyResult.from_p if len(self.columns) == 1 else StudyResult.from_effect
-        return build(self.ids[i], *(col[i] for col in self.columns))
+        if len(self.columns) == 1:
+            return Study(self.ids[i], self.columns[0][i])
+        return Study(self.ids[i], None, self.columns[0][i], self.columns[1][i])
 
 
-def _columns(studies: Sequence[StudyResult], test: str, p_form: bool) -> tuple:
-    """(p,) if p_form, else (estimate, std_error): a StudyTable's own, or one pass over studies."""
-    if isinstance(studies, StudyTable) and len(studies.columns) == (1 if p_form else 2):
-        return studies.columns
-    rows = [(st.p.value,) if p_form else (st.estimate, st.std_error)
-            for st in studies if (st.p is not None) == p_form]
-    if len(rows) < len(studies):
-        bad = [st.id for st in studies if (st.p is not None) != p_form]
-        need, other = ("P-value", "effects") if p_form else ("effect-form", "P-values")
-        raise ValueError(f"{test} needs {need} evidence; studies {bad} carry {other}")
-    return tuple(zip(*rows))
+def _columns(studies: StudyTable, test: str, p_form: bool) -> tuple:
+    """The table's (p,) column if p_form, else its (estimate, std_error) columns."""
+    if not isinstance(studies, StudyTable):
+        raise TypeError(f"{test} takes a StudyTable, not {type(studies).__name__}; build one "
+                        "with StudyTable.from_columns")
+    if len(studies.columns) != (1 if p_form else 2):
+        need, have = (P_COLUMNS, EFFECT_COLUMNS) if p_form else (EFFECT_COLUMNS, P_COLUMNS)
+        raise SchemaError(f"{test} needs columns {','.join(need)}; the studies carry "
+                          f"{','.join(have)}")
+    return studies.columns
 
 
 @dataclass(frozen=True)
@@ -164,14 +166,12 @@ def _summary_from_chisq(df: int, x: float) -> tuple[float, float]:
     return math.exp(-s), s
 
 
-def s_summation_test(studies: Sequence[StudyResult]) -> CombinationReport:
+def s_summation_test(studies: StudyTable) -> CombinationReport:
     """Fisher-style combination of per-study P-values in surprisal form.
 
     Tests the conjunction of the study models: s_plus = sum of -ln(p_k), with
     2 * s_plus referred to chi-squared on 2K df.
     """
-    if not studies:
-        raise ValueError("s_summation_test requires at least one study")
     (p,) = _columns(studies, "s_summation_test", p_form=True)
     return _s_summation(len(p), math.fsum(-math.log(v) for v in p))
 
@@ -218,19 +218,15 @@ def z_squared_test(z_scores: list[float]) -> ZSquaredReport:
     )
 
 
-def pooled_homogeneity_test(
-    studies: Sequence[StudyResult], null_value: float = 0.0
-) -> PooledReport:
+def pooled_homogeneity_test(studies: StudyTable, null_value: float = 0.0) -> PooledReport:
     """Fixed-effect inverse-variance pooling, then a two-sided normal test.
 
     Assuming one common effect across the K studies imposes K - 1 constraints,
     so the pooled z-test has 1 df regardless of K.
     """
-    if not studies:
-        raise ValueError("pooled_homogeneity_test requires at least one study")
+    estimate, std_error = _columns(studies, "pooled_homogeneity_test", p_form=False)
     if not math.isfinite(null_value):
         raise ValueError(f"null value must be finite, got {null_value!r}")
-    estimate, std_error = _columns(studies, "pooled_homogeneity_test", p_form=False)
     # Weights relative to the smallest std error neither underflow nor overflow.
     se_min = min(std_error)
     weights = [(se_min / se) ** 2 for se in std_error]
@@ -251,33 +247,29 @@ def pooled_homogeneity_test(
     )
 
 
-def _study_z_scores(studies: Sequence[StudyResult], null_value: float) -> list[float]:
-    """Each effect-form study's (estimate - null) / std_error, naming a study whose z overflows."""
+def _study_z_scores(studies: StudyTable, null_value: float, test: str) -> list[float]:
+    """Each study's (estimate - null) / std_error for `test`, naming a study whose z overflows."""
+    estimate, std_error = _columns(studies, test, p_form=False)
     if not math.isfinite(null_value):
         raise ValueError(f"null value must be finite, got {null_value!r}")
-    estimate, std_error = _columns(studies, "pooled_homogeneity_test", p_form=False)
     z_scores = [(e - null_value) / se for e, se in zip(estimate, std_error)]
     for i, z in enumerate(z_scores):
         if math.isinf(z):
             raise OverflowError(
-                f"study {studies[i].id!r}: the z-score (estimate - null) / std_error overflows"
+                f"study {studies.ids[i]!r}: the z-score (estimate - null) / std_error overflows"
             )
     return z_scores
 
 
-def compare_methods(
-    studies: Sequence[StudyResult], null_value: float = 0.0
-) -> MethodComparison:
+def compare_methods(studies: StudyTable, null_value: float = 0.0) -> MethodComparison:
     """Run the S-summation and pooled tests side by side on effect-form studies.
 
     Per-study P-values for the S-summation route are two-sided normal, from
     (estimate - null) / std_error; their surprisals stay finite where the P-values underflow.
     """
-    if not studies:
-        raise ValueError("compare_methods requires at least one study")
     _columns(studies, "compare_methods", p_form=False)  # checked here, so errors name this function
     pooled = pooled_homogeneity_test(studies, null_value)
-    z_scores = _study_z_scores(studies, null_value)
+    z_scores = _study_z_scores(studies, null_value, "compare_methods")
     fisher = _s_summation(len(z_scores), math.fsum(-_two_sided_tail(z)[1] for z in z_scores))
     s_fisher = fisher.s_summary.value
     return MethodComparison(
@@ -286,10 +278,6 @@ def compare_methods(
         s_summation_nats=s_fisher,
         difference_nats=pooled.s_summary.value - s_fisher,
     )
-
-
-P_COLUMNS = ("id", "p")
-EFFECT_COLUMNS = ("id", "estimate", "std_error")
 
 
 def studies_from_csv(path: str | os.PathLike) -> StudyTable:

@@ -47,11 +47,13 @@ def curve_point(spec: EstimateSpec, mu1: float, unit: InfoUnit = InfoUnit.BITS) 
     p_two, log_p_two = _two_sided_tail(t)  # 2 Phi(-|t|); its log stays finite where it underflows
     p_near = normal_cdf(abs(t))  # the one-sided P on the estimate's side, >= 1/2
     p_ge, p_le = (p_near, 0.5 * p_two) if t >= 0.0 else (0.5 * p_two, p_near)
+    # p_le below 2^-1022 is p_two / 2, so its log is the kernel's log of p_two less ln 2
+    log_p_le = math.log(p_le) if p_le >= 2.0 ** -1022 else log_p_two - math.log(2.0)
     return CurvePoint(
         mu1=mu1,
         p_ge=p_ge,
         p_le=p_le,
-        s_le=SValue(-math.log(p_le) / k, unit),
+        s_le=SValue(-log_p_le / k, unit),
         p_two=p_two,
         s_two=SValue(-log_p_two / k, unit),
     )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from svalue.calibrate import calibration_report
-from svalue.combine import StudyResult, s_summation_test
+from svalue.combine import StudyTable, s_summation_test
 from svalue.curves import EstimateSpec, curve, curve_point
 from svalue.simulate import (
     RngSpec,
@@ -86,7 +86,7 @@ def test_criterion_06_fisher_identity_and_shrinkage():
     ok = True
     details = []
     for p in (0.9, 0.05, 1e-6):
-        rep = s_summation_test([StudyResult.from_p("only", p)])
+        rep = s_summation_test(StudyTable.from_columns(["only"], [p]))
         ok = ok and abs(rep.p_summary / p - 1.0) <= 1e-12
     details.append("K=1 identity <= 1e-12")
     for k in (2, 5):
@@ -94,9 +94,7 @@ def test_criterion_06_fisher_identity_and_shrinkage():
         s_plus = np.empty(N_COMBINE)
         shrink = np.empty(N_COMBINE)
         for i in range(N_COMBINE):
-            rep = s_summation_test(
-                [StudyResult.from_p(str(j), float(u[i, j])) for j in range(k)]
-            )
+            rep = s_summation_test(StudyTable.from_columns([str(j) for j in range(k)], u[i]))
             s_plus[i] = rep.s_plus.value
             shrink[i] = rep.shrinkage_nats
         se_plus = s_plus.std(ddof=1) / math.sqrt(N_COMBINE)
@@ -113,7 +111,7 @@ def test_criterion_06_fisher_identity_and_shrinkage():
 
 
 def test_criterion_07_two_study_worked_combination():
-    rep = s_summation_test([StudyResult.from_p("a", 0.05), StudyResult.from_p("b", 0.05)])
+    rep = s_summation_test(StudyTable.from_columns(["a", "b"], [0.05, 0.05]))
     oracle = chisq_survival_closed_form_even(4, 2.0 * rep.s_plus.value)
     check(
         7,

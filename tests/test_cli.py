@@ -184,6 +184,21 @@ class TestCombine:
         assert code == 2
         assert "id,estimate,std_error" in err
 
+    @pytest.mark.parametrize("method, route, form", [
+        ("s-sum", "s_summation_test", "effect"),
+        ("z2", "z_squared_test", "p"),
+        ("pooled", "pooled_homogeneity_test", "p"),
+        ("compare", "compare_methods", "p"),
+    ])
+    def test_wrong_form_names_route_and_columns(self, capsys, p_csv, effect_csv, method, route,
+                                                form):
+        p_cols, effect_cols = "id,p", "id,estimate,std_error"
+        need, have = (p_cols, effect_cols) if form == "effect" else (effect_cols, p_cols)
+        path = effect_csv if form == "effect" else p_csv
+        code, out, err = run(capsys, "combine", "--input", path, "--method", method)
+        assert (code, out) == (2, "")
+        assert err == f"error: {route} needs columns {need}; the studies carry {have}\n"
+
 
 class TestCalibrate:
     def test_full_report_json(self, capsys):
@@ -228,6 +243,14 @@ class TestCalibrate:
 
 
 class TestCurve:
+    def test_one_sided_s_finite_where_p_le_underflows(self, capsys):
+        code, out, err = run(capsys, "curve", "--estimate", "0", "--se", "1",
+                             "--from", "-50", "--to", "50", "--steps", "3")
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(out.splitlines()))
+        assert (rows[0]["mu1"], rows[0]["p_le"]) == ("-50.0", "0.0")
+        assert float(rows[0]["s_le"]) == pytest.approx(1810.3389818677890025, rel=1e-15, abs=0)
+
     def test_csv_header_and_worked_row(self, capsys):
         code, out, _ = run(capsys, "curve", "--estimate", "1.2", "--se", "0.5",
                            "--from", "1.0", "--to", "1.4", "--steps", "3")

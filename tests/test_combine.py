@@ -12,7 +12,7 @@ import pytest
 from svalue.combine import (
     Z_SQUARED_DF_CAVEAT,
     SchemaError,
-    StudyResult,
+    Study,
     StudyTable,
     compare_methods,
     pooled_homogeneity_test,
@@ -26,12 +26,16 @@ from svalue.units import PValue
 from oracles import chisq_survival_closed_form_even
 
 
+def ids(k):
+    return [f"s{i}" for i in range(k)]
+
+
 def p_studies(*ps):
-    return [StudyResult.from_p(f"s{i}", p) for i, p in enumerate(ps)]
+    return StudyTable.from_columns(ids(len(ps)), ps)
 
 
 def effect_studies(*pairs):
-    return [StudyResult.from_effect(f"s{i}", est, se) for i, (est, se) in enumerate(pairs)]
+    return StudyTable.from_columns(ids(len(pairs)), [e for e, _ in pairs], [se for _, se in pairs])
 
 
 def write_studies(path, header, rows):
@@ -42,24 +46,38 @@ def write_studies(path, header, rows):
 
 
 class TestStudyResult:
+    """StudyTable.from_columns checks the result each study reports, as the CSV reader does."""
+
     def test_exactly_one_evidence_form(self):
-        with pytest.raises(ValueError):
-            StudyResult(id="x")
-        with pytest.raises(ValueError):
-            StudyResult(id="x", p=PValue(0.2), estimate=1.0, std_error=0.5)
-        with pytest.raises(ValueError):
-            StudyResult(id="x", estimate=1.0)  # missing std_error
+        for columns in ((), ([0.2], [1.0], [0.5])):
+            with pytest.raises(TypeError, match="either p or estimate, std_error"):
+                StudyTable.from_columns(["x"], *columns)
 
     def test_std_error_positive(self):
-        with pytest.raises(ValueError):
-            StudyResult.from_effect("x", 1.0, 0.0)
-        with pytest.raises(ValueError):
-            StudyResult.from_effect("x", 1.0, -0.3)
+        for se in (0.0, -0.3, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^study 'x' std_error must be a positive finite"):
+                StudyTable.from_columns(["x"], [1.0], [se])
 
     @pytest.mark.parametrize("estimate", [math.nan, math.inf, -math.inf])
     def test_estimate_finite(self, estimate):
-        with pytest.raises(ValueError, match="estimate must be finite"):
-            StudyResult.from_effect("x", estimate, 1.0)
+        with pytest.raises(ValueError, match="^study 'x' estimate must be finite$"):
+            StudyTable.from_columns(["x"], [estimate], [1.0])
+
+    @pytest.mark.parametrize("p", [0.0, -0.5, 1.5, math.nan, math.inf])
+    def test_p_in_unit_interval(self, p):
+        message = re.escape(f"P-value must lie in the half-open interval (0, 1], got {p!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StudyTable.from_columns(["a", "x"], [0.5, p])
+
+    @pytest.mark.parametrize("columns", [([],), ([], [])])
+    def test_empty_input_rejected(self, columns):
+        with pytest.raises(ValueError, match="^a StudyTable needs at least one study$"):
+            StudyTable.from_columns([], *columns)
+
+    @pytest.mark.parametrize("columns", [([0.5],), ([0.1, 0.2], [1.0]), ([0.1], [1.0, 2.0])])
+    def test_unequal_lengths_rejected(self, columns):
+        with pytest.raises(ValueError, match="^2 ids but columns of"):
+            StudyTable.from_columns(["a", "b"], *columns)
 
 
 class TestSSummation:
@@ -113,14 +131,14 @@ class TestSSummation:
         assert a.s_summary == b.s_summary
         # the surprisals are summed exactly rounded, so any order gives the same bits
         rng = np.random.default_rng(97)
-        studies = p_studies(*(1.0 - rng.random(10_000)))
-        shuffled = [studies[i] for i in rng.permutation(len(studies))]
-        assert s_summation_test(studies) == s_summation_test(shuffled)
+        ps = 1.0 - rng.random(10_000)
+        shuffled = p_studies(*ps[rng.permutation(len(ps))])
+        assert s_summation_test(p_studies(*ps)) == s_summation_test(shuffled)
 
     def test_rejects_empty_and_effect_form(self):
         with pytest.raises(ValueError):
-            s_summation_test([])
-        with pytest.raises(ValueError):
+            p_studies()
+        with pytest.raises(SchemaError):
             s_summation_test(effect_studies((0.3, 0.1)))
 
     def test_noise_nat_accounting_monte_carlo(self):
@@ -224,8 +242,8 @@ class TestPooled:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            pooled_homogeneity_test([])
-        with pytest.raises(ValueError):
+            effect_studies()
+        with pytest.raises(SchemaError):
             pooled_homogeneity_test(p_studies(0.05))
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
@@ -281,23 +299,19 @@ class TestCompareMethods:
         ses = rng.uniform(0.05, 2.0, size=1000)
         studies = effect_studies(*zip(rng.normal(0.1, 1.0, size=1000) * ses, ses))
         cmp_ = compare_methods(studies)
-        as_p = [
-            StudyResult.from_p(st.id, 2 * normal_cdf(-abs(st.estimate / st.std_error)))
-            for st in studies
-        ]
+        as_p = p_studies(*(2 * normal_cdf(-abs(st.estimate / st.std_error)) for st in studies))
         assert cmp_.s_summation == s_summation_test(as_p)
 
     def test_order_invariance(self):
         rng = np.random.default_rng(98)
         ses = rng.uniform(0.05, 2.0, size=10_000)
-        studies = effect_studies(*zip(rng.normal(0.1, 1.0, size=10_000) * ses, ses))
-        shuffled = [studies[i] for i in rng.permutation(len(studies))]
-        assert compare_methods(studies) == compare_methods(shuffled)
+        pairs = list(zip(rng.normal(0.1, 1.0, size=10_000) * ses, ses))
+        shuffled = effect_studies(*(pairs[i] for i in rng.permutation(len(pairs))))
+        assert compare_methods(effect_studies(*pairs)) == compare_methods(shuffled)
 
     def test_overflowing_study_z_names_the_study(self):
         # the pooled z is 1e300, finite; study a's own z is 1e310
-        studies = [StudyResult.from_effect("a", 1e300, 1e-10),
-                   StudyResult.from_effect("b", 0.0, 1e-20)]
+        studies = StudyTable.from_columns(["a", "b"], [1e300, 0.0], [1e-10, 1e-20])
         with pytest.raises(OverflowError, match=r"^study 'a': the z-score .* overflows$"):
             compare_methods(studies)
 
@@ -308,7 +322,7 @@ class TestCsvIngestion:
         f.write_text("id,p\na,0.05\nb,0.2\n", encoding="utf-8")
         studies = studies_from_csv(f)
         assert [st.id for st in studies] == ["a", "b"]
-        assert studies[0].p.value == 0.05
+        assert studies[0].p == 0.05
 
     def test_effect_form(self, tmp_path):
         f = tmp_path / "e.csv"
@@ -398,14 +412,12 @@ class TestCsvIngestion:
 
 
 class TestStudyTable:
-    """studies_from_csv returns read-only columns that act as a sequence of StudyResult."""
+    """A StudyTable holds read-only columns and acts as a sequence of Study rows."""
 
     @pytest.mark.parametrize("body, by_hand", [
-        ("id,p\na,0.05\nb,0.2\nc,1\n",
-         [StudyResult.from_p("a", 0.05), StudyResult.from_p("b", 0.2), StudyResult.from_p("c", 1.0)]),
+        ("id,p\na,0.05\nb,0.2\nc,1\n", [Study("a", 0.05), Study("b", 0.2), Study("c", 1.0)]),
         ("id,estimate,std_error\na,0.3,0.1\nb,-0.5,0.25\nc,0,2\n",
-         [StudyResult.from_effect("a", 0.3, 0.1), StudyResult.from_effect("b", -0.5, 0.25),
-          StudyResult.from_effect("c", 0.0, 2.0)]),
+         [Study("a", None, 0.3, 0.1), Study("b", None, -0.5, 0.25), Study("c", None, 0.0, 2.0)]),
     ], ids=["p", "effect"])
     def test_sequence_behaviour(self, tmp_path, body, by_hand):
         f = tmp_path / "t.csv"
@@ -430,54 +442,59 @@ class TestStudyTable:
         with pytest.raises(FrozenInstanceError):
             table.ids = ("x", "y")
         assert table.ids == ("s0", "s1") and list(table.columns[0]) == [0.5, 0.25]
+        with pytest.raises(TypeError):
+            StudyTable.from_columns(["a"], [0.5]).columns[0][0] = 0.125
 
-    @pytest.mark.parametrize("null", [True, False], ids=["null", "non-null"])
-    def test_reports_equal_the_list_form(self, tmp_path, null):
-        rng = np.random.default_rng(13 if null else 14)
-        k = 10_000
-        ps = 1.0 - rng.random(k) if null else rng.beta(0.5, 4.0, size=k)
-        ses = rng.uniform(0.05, 2.0, size=k)
-        ests = rng.normal(0.0 if null else 0.2, 1.0, size=k) * ses
-        p_rows, e_rows = [(p,) for p in ps.tolist()], list(zip(ests.tolist(), ses.tolist()))
-        p_table = studies_from_csv(write_studies(tmp_path / "p.csv", "id,p", p_rows))
-        e_table = studies_from_csv(write_studies(tmp_path / "e.csv", "id,estimate,std_error", e_rows))
-        p_list, e_list = p_studies(*ps.tolist()), effect_studies(*e_rows)
-        assert list(p_table) == p_list and list(e_table) == e_list
-        assert s_summation_test(p_table) == s_summation_test(p_list)
-        assert pooled_homogeneity_test(e_table, 0.1) == pooled_homogeneity_test(e_list, 0.1)
-        assert compare_methods(e_table, 0.1) == compare_methods(e_list, 0.1)
-        # the CLI's z2 route reads the columns
-        z_columns = [(e - 0.1) / se for e, se in zip(*e_table.columns)]
-        z_list = [(st.estimate - 0.1) / st.std_error for st in e_list]
-        assert z_squared_test(z_columns) == z_squared_test(z_list)
+    @pytest.mark.parametrize("header, rows", [
+        ("id,p", [(0.5,), (1e-300,), (1.0,)]),
+        ("id,estimate,std_error", [(0.3, 0.1), (-1e300, 1e-300), (0.0, 2.0)]),
+    ], ids=["p", "effect"])
+    def test_from_columns_round_trips(self, tmp_path, header, rows):
+        table = studies_from_csv(write_studies(tmp_path / "t.csv", header, rows))
+        rebuilt = StudyTable.from_columns(table.ids, *table.columns)
+        assert list(rebuilt) == list(table)
+        assert rebuilt.ids == table.ids and rebuilt.columns == table.columns
 
     def test_reading_and_combining_build_no_study_objects(self, tmp_path, monkeypatch):
         built = []
-        for cls in (StudyResult, PValue):
-            def counting(self, check=cls.__post_init__):
-                built.append(type(self).__name__)
-                check(self)
-            monkeypatch.setattr(cls, "__post_init__", counting)
+
+        def counting_new(cls, *args, new=Study.__new__):
+            built.append(cls.__name__)
+            return new(cls, *args)
+
+        def counting_check(self, check=PValue.__post_init__):
+            built.append(type(self).__name__)
+            check(self)
+
+        monkeypatch.setattr(Study, "__new__", counting_new)
+        monkeypatch.setattr(PValue, "__post_init__", counting_check)
         p_file = write_studies(tmp_path / "p.csv", "id,p", [(0.5,), (0.01,), (1.0,)])
         e_file = write_studies(tmp_path / "e.csv", "id,estimate,std_error", [(0.3, 0.1), (-1, 2)])
         s_summation_test(studies_from_csv(p_file))
         effects = studies_from_csv(e_file)
         pooled_homogeneity_test(effects)
         compare_methods(effects)
+        s_summation_test(StudyTable.from_columns(["a", "b"], [0.5, 0.01]))
         assert built == []
-        list(studies_from_csv(p_file))  # the counter sees studies built on access
-        assert built == ["PValue", "StudyResult"] * 3
+        list(studies_from_csv(p_file))  # rows are built on access, with no P-value check
+        assert built == ["Study"] * 3
 
-    def test_wrong_form_names_every_study(self, tmp_path):
+    def test_wrong_form_names_route_and_columns(self, tmp_path):
         p_table = studies_from_csv(write_studies(tmp_path / "p.csv", "id,p", [(0.5,), (0.25,)]))
-        e_table = studies_from_csv(write_studies(tmp_path / "e.csv", "id,estimate,std_error",
-                                                 [(0.3, 0.1)]))
-        with pytest.raises(ValueError, match=re.escape("studies ['s0'] carry effects")):
-            s_summation_test(e_table)
-        with pytest.raises(ValueError, match=re.escape("studies ['s0', 's1'] carry P-values")):
-            compare_methods(p_table)
-        with pytest.raises(ValueError, match=re.escape(
-                "compare_methods needs effect-form evidence; studies ['a'] carry P-values")):
-            compare_methods([StudyResult.from_p("a", 0.5)])
-        with pytest.raises(ValueError, match="compare_methods requires at least one study"):
-            compare_methods([])
+        e_table = StudyTable.from_columns(["a"], [0.3], [0.1])
+        for route, table, need, have in [
+            (s_summation_test, e_table, "id,p", "id,estimate,std_error"),
+            (pooled_homogeneity_test, p_table, "id,estimate,std_error", "id,p"),
+            (compare_methods, p_table, "id,estimate,std_error", "id,p"),
+        ]:
+            message = f"{route.__name__} needs columns {need}; the studies carry {have}"
+            with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+                route(table)
+
+    @pytest.mark.parametrize("route", [s_summation_test, pooled_homogeneity_test, compare_methods])
+    @pytest.mark.parametrize("studies", [[Study("a", 0.5)], [], (0.5,)],
+                             ids=["rows", "empty", "tuple"])
+    def test_non_table_is_type_error(self, route, studies):
+        message = f"^{route.__name__} takes a StudyTable, not .*StudyTable.from_columns$"
+        with pytest.raises(TypeError, match=message):
+            route(studies)

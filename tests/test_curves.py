@@ -60,6 +60,16 @@ class TestSUpperComplement:
         vals = [curve_point(spec, float(m)).s_le.value for m in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("t, bits", [
+        (38.0, 1048.200492472443126736412),  # p_le = Phi(-38) is subnormal
+        (50.0, 1810.338981867789002477218),  # p_le = Phi(-50) underflows to 0.0
+    ])
+    def test_finite_where_p_le_underflows(self, t, bits):
+        # S = -log2 Phi(-t); mpmath, 40 digits
+        point = curve_point(EstimateSpec(0.0, 1.0), -t)
+        assert point.p_le < 2.0 ** -1022
+        assert point.s_le.value == pytest.approx(bits, rel=1e-15, abs=0)
+
     def test_tracks_p_ge(self):
         # the two quantities rise and fall together across any grid
         spec = EstimateSpec(0.4, 0.3)

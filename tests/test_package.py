@@ -2,6 +2,8 @@
 
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -53,3 +55,13 @@ def test_a_name_patched_in_its_home_module_is_what_the_package_returns(monkeypat
     assert svalue.surprisal is fake
     monkeypatch.undo()
     assert svalue.surprisal is svalue.units.surprisal
+
+
+def test_readme_library_example_runs():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    ns = {}
+    exec(block, ns)
+    assert ns["s"].value == pytest.approx(4.321928094887362, rel=1e-12)
+    assert ns["rep"].p_summary == pytest.approx(0.017478661367769955, rel=1e-12)
+    assert ns["sim"].mean_s_nats == pytest.approx(1.0, abs=0.02)
