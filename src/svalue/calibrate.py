@@ -10,7 +10,7 @@ with its companion odds bound 1/b and conditional Type-1 error rate
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .specfun import normal_quantile
 from .units import PValue
@@ -18,8 +18,7 @@ from .units import PValue
 BF_BOUND_MAX_P = 1.0 / math.e  # 0.3679; -p*ln(p) peaks here at 1/e
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(NamedTuple):
     """All calibrations of one P-value; inapplicable fields are None + a note."""
 
     p: float

@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import fields
 from typing import Any
 
 from .calibrate import calibration_report
@@ -100,15 +99,14 @@ def _emit(payload: dict | list[dict], fmt: str) -> None:
 
 
 def _record(report: Any, unit_suffix: bool = True) -> dict[str, Any]:
-    """A report dataclass's fields in declaration order; an SValue field f
+    """A result record's `_asdict()`, fields in declaration order; an SValue field f
     becomes its value under the key f_<unit> (or f, without unit_suffix)."""
     out: dict[str, Any] = {}
-    for f in fields(report):
-        v = getattr(report, f.name)
+    for name, v in report._asdict().items():
         if isinstance(v, SValue):
-            out[f"{f.name}_{v.unit.value}" if unit_suffix else f.name] = v.value
+            out[f"{name}_{v.unit.value}" if unit_suffix else name] = v.value
         else:
-            out[f.name] = v
+            out[name] = v
     return out
 
 

@@ -26,7 +26,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .specfun import ChiSquare, _two_sided_tail, log_chisq_survival, normal_cdf
+from .specfun import ChiSquare, _two_sided_tail, log_chisq_survival
 from .units import InfoUnit, SValue, _check_p
 
 Z_SQUARED_DF_CAVEAT = (
@@ -71,6 +71,12 @@ class StudyTable(Sequence):
     ids: Sequence[str]
     columns: tuple[Sequence[float], ...]
 
+    def __post_init__(self) -> None:  # O(1): the builders have checked every study
+        if not (self.ids and len(self.columns) in (1, 2) and all(
+                isinstance(c, memoryview) and c.readonly and c.format == "d"
+                and len(c) == len(self.ids) for c in self.columns)):
+            raise TypeError("build a StudyTable with studies_from_csv or StudyTable.from_columns")
+
     @classmethod
     def from_columns(cls, ids: Sequence[str], *columns: Sequence[float]) -> StudyTable:
         """The studies `ids` with a p column or estimate and std_error columns, each study
@@ -110,8 +116,7 @@ def _columns(studies: StudyTable, test: str, p_form: bool) -> tuple:
     return studies.columns
 
 
-@dataclass(frozen=True)
-class CombinationReport:
+class CombinationReport(NamedTuple):
     """S-summation result with noise-nat accounting."""
 
     k: int
@@ -123,8 +128,7 @@ class CombinationReport:
     shrinkage_nats: float  # s_plus - s_summary
 
 
-@dataclass(frozen=True)
-class ZSquaredReport:
+class ZSquaredReport(NamedTuple):
     k: int
     statistic: float
     df: int  # k, see Z_SQUARED_DF_CAVEAT
@@ -133,8 +137,7 @@ class ZSquaredReport:
     notes: tuple[str, ...] = (Z_SQUARED_DF_CAVEAT,)
 
 
-@dataclass(frozen=True)
-class PooledReport:
+class PooledReport(NamedTuple):
     """Inverse-variance fixed-effect pooling under homogeneity (df = 1)."""
 
     k: int
@@ -146,8 +149,7 @@ class PooledReport:
     df: int = 1
 
 
-@dataclass(frozen=True)
-class MethodComparison:
+class MethodComparison(NamedTuple):
     """S-summation vs pooled test on the same effect-form studies."""
 
     s_summation: CombinationReport
@@ -236,14 +238,14 @@ def pooled_homogeneity_test(studies: StudyTable, null_value: float = 0.0) -> Poo
     z = (pooled_estimate - null_value) / pooled_se
     if math.isinf(z):
         raise OverflowError("the pooled z-score (estimate - null) / std_error overflows")
-    _, s_nats = _summary_from_chisq(1, z * z)  # the two-sided normal tail
+    p_two_sided, log_p = _two_sided_tail(z)
     return PooledReport(
         k=len(estimate),
         pooled_estimate=pooled_estimate,
         pooled_se=pooled_se,
         z=z,
-        p_two_sided=2.0 * normal_cdf(-abs(z)),
-        s_summary=SValue(s_nats, InfoUnit.NATS),
+        p_two_sided=p_two_sided,
+        s_summary=SValue(-log_p, InfoUnit.NATS),
     )
 
 

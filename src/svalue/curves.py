@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .specfun import _two_sided_tail, normal_cdf
 from .units import InfoUnit, SValue
@@ -30,8 +31,7 @@ class EstimateSpec:
             raise ValueError(f"std_error must be positive and finite, got {self.std_error!r}")
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     mu1: float
     p_ge: float  # P-value for mu >= mu1; strictly decreasing in mu1
     p_le: float  # P-value for mu <= mu1; p_ge + p_le = 1

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .units import InfoUnit
 
@@ -64,8 +64,7 @@ class RngSpec:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-@dataclass(frozen=True)
-class SimulationSummary:
+class SimulationSummary(NamedTuple):
     n: int
     mean_s_nats: float
     mean_s_bits: float
@@ -75,8 +74,7 @@ class SimulationSummary:
     low_n: bool
 
 
-@dataclass(frozen=True)
-class EValueCheck:
+class EValueCheck(NamedTuple):
     n: int
     generator: str
     mean_e_condition: float  # sample mean of -ln P
@@ -85,8 +83,7 @@ class EValueCheck:
     low_n: bool
 
 
-@dataclass(frozen=True)
-class DistributionReport:
+class DistributionReport(NamedTuple):
     n: int
     reference: str
     ks_statistic: float

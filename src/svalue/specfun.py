@@ -150,9 +150,12 @@ def log_chisq_survival(dist: ChiSquare, x: float) -> float:
 
 
 def _two_sided_tail(z: float) -> tuple[float, float]:
-    """2 Phi(-|z|) = erfc(|z| / sqrt 2) and its log, which stays finite where the tail
-    underflows: below 2^-1021 the log is the kernel's ln Q(1/2, z^2 / 2) instead."""
+    """2 Phi(-|z|) = erfc(|z| / sqrt 2) and its log, which keeps its digits near z = 0,
+    where it is log1p(-erf), and stays finite where the tail underflows: below 2^-1021
+    it is the kernel's ln Q(1/2, z^2 / 2)."""
     p = math.erfc(abs(z) / _SQRT2)
+    if p > 0.9:
+        return p, math.log1p(-math.erf(abs(z) / _SQRT2))
     return p, math.log(p) if p >= 2.0 ** -1021 else log_reg_gamma_upper(0.5, z * z / 2.0)
 
 

@@ -3,6 +3,7 @@
 import csv
 import math
 import re
+from array import array
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError
 
@@ -277,6 +278,13 @@ class TestCompareMethods:
         cmp_ = compare_methods(effect_studies((0.3, 0.1)), 0.0)
         assert abs(cmp_.s_summation_nats - cmp_.pooled.s_summary.value) < 1e-9
 
+    @pytest.mark.parametrize("estimate", [1e-8, 1e-6, 0.3, -2.5, 40.0])
+    def test_single_study_s_plus_is_the_pooled_s_to_the_bit(self, estimate):
+        # both take the study's two-sided tail from one kernel, so they agree to the bit
+        cmp_ = compare_methods(effect_studies((estimate, 1.0)))
+        assert cmp_.s_summation.s_plus.value == cmp_.pooled.s_summary.value
+        assert cmp_.pooled.p_two_sided == math.erfc(abs(estimate) / math.sqrt(2.0))
+
     def test_homogeneous_truth_favors_pooling(self):
         cmp_ = compare_methods(effect_studies((0.3, 0.1), (0.3, 0.1)), 0.0)
         assert cmp_.pooled.z == pytest.approx(4.242640687119286, rel=1e-12, abs=0)
@@ -444,6 +452,19 @@ class TestStudyTable:
         assert table.ids == ("s0", "s1") and list(table.columns[0]) == [0.5, 0.25]
         with pytest.raises(TypeError):
             StudyTable.from_columns(["a"], [0.5]).columns[0][0] = 0.125
+
+    @pytest.mark.parametrize("ids, columns", [
+        (("a",), ([0.0],)),  # a list column, and a P-value that from_columns would refuse
+        (("a", "b"), ([0.5],)),  # one value for two ids
+        (("a", "b"), (memoryview(array("d", [0.5])).toreadonly(),)),
+        (("a",), (memoryview(array("d", [0.5])),)),  # writable
+        (("a",), (memoryview(array("f", [0.5])).toreadonly(),)),
+        (("a",), ()),
+        ((), (memoryview(array("d")).toreadonly(),)),
+    ])
+    def test_bare_constructor_takes_only_builder_columns(self, ids, columns):
+        with pytest.raises(TypeError, match="studies_from_csv or StudyTable.from_columns$"):
+            StudyTable(ids, columns)
 
     @pytest.mark.parametrize("header, rows", [
         ("id,p", [(0.5,), (1e-300,), (1.0,)]),

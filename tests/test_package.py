@@ -65,3 +65,31 @@ def test_readme_library_example_runs():
     assert ns["s"].value == pytest.approx(4.321928094887362, rel=1e-12)
     assert ns["rep"].p_summary == pytest.approx(0.017478661367769955, rel=1e-12)
     assert ns["sim"].mean_s_nats == pytest.approx(1.0, abs=0.02)
+
+
+RECORD_FIELDS = {
+    "CalibrationReport": ("p", "df_d", "mlr", "deviance", "aic_delta", "bf_lower_bound",
+                          "odds_increase_bound", "conditional_type1", "notes"),
+    "CombinationReport": ("k", "s_plus", "df", "p_summary", "s_summary",
+                          "expected_noise_nats", "shrinkage_nats"),
+    "ZSquaredReport": ("k", "statistic", "df", "p_summary", "s_summary", "notes"),
+    "PooledReport": ("k", "pooled_estimate", "pooled_se", "z", "p_two_sided", "s_summary", "df"),
+    "MethodComparison": ("s_summation", "pooled", "s_summation_nats", "difference_nats"),
+    "CurvePoint": ("mu1", "p_ge", "p_le", "s_le", "p_two", "s_two"),
+    "SimulationSummary": ("n", "mean_s_nats", "mean_s_bits", "se_of_mean", "empirical_type1",
+                          "dominance_violations", "low_n"),
+    "EValueCheck": ("n", "generator", "mean_e_condition", "se_of_mean", "passed", "low_n"),
+    "DistributionReport": ("n", "reference", "ks_statistic", "critical_value", "passed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_FIELDS))
+def test_result_records_are_read_only_named_tuples(name):
+    cls = getattr(svalue, name)
+    assert issubclass(cls, tuple) and cls._fields == RECORD_FIELDS[name]
+    record = cls(*range(len(cls._fields)))
+    assert record == tuple(range(len(cls._fields)))
+    assert list(record._asdict()) == list(cls._fields)
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)

@@ -169,9 +169,20 @@ class TestChiSquare:
             log_chisq_survival(ChiSquare(2), -1.0)
 
 
-# ln 2 Phi(-|z|) = ln erfc(|z| / sqrt 2): mpmath 1.3.0 at 50 digits, rounded to 25. The
-# two middle z straddle the switch from log(erfc) to the kernel, where erfc = 2^-1021.
+# ln 2 Phi(-|z|) = ln erfc(|z| / sqrt 2) by mpmath 1.3.0: the first nine at 60 digits,
+# rounded to 40, from near z = 0, where ln P needs the digits of 1 - P; the rest at 50
+# digits, rounded to 25. The two 37.519... straddle the switch from log(erfc) to the
+# kernel, where erfc = 2^-1021.
 LOG_TWO_SIDED = {
+    1e-8: -7.978845639859642380451474582296130324393e-9,
+    1e-6: -7.978848791127878391623273146523656722987e-7,
+    1e-4: -7.979163921548350146456454301554039565620e-5,
+    0.01: -0.008010712884424786199729312068219689861236,
+    0.4: -0.3722868686296313390240941000231863210457,
+    1.0: -1.147874464449318196353550951774352453472,
+    5.0: -14.37185121342878042666647267043854903699,
+    37.5: -706.9758421369472457566959413358022647627,
+    40.0: -803.9152948331938428571896007971517596321,
     -8.0: -34.3202899793546045860869,
     37.0: -688.337438396330648291455,
     37.5193793471445: -707.7032713517041869416965,
