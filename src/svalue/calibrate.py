@@ -35,9 +35,9 @@ class CalibrationReport(NamedTuple):
 def calibration_report(p: PValue, d: int = 1) -> CalibrationReport:
     """Assemble every applicable calibration for one P-value.
 
-    MLR fields are populated only for d = 1 (the implemented normal-test
-    case); Bayes-factor fields only for p < 1/e. Anything inapplicable is
-    None with an explanatory note, so batch use never raises on valid input.
+    MLR fields are populated only for d = 1 (the normal-test case), where an MLR that
+    overflows raises OverflowError; Bayes-factor fields only for p < 1/e, and 1/b only
+    where it is finite. Anything inapplicable is None with an explanatory note.
     """
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValueError(f"restriction dimension d must be a positive integer, got {d!r}")
@@ -61,7 +61,10 @@ def calibration_report(p: PValue, d: int = 1) -> CalibrationReport:
     if p.value < BF_BOUND_MAX_P:
         b = -math.e * p.value * math.log(p.value)
         odds = 1.0 / b
-        cond = 1.0 / (1.0 + 1.0 / b)
+        cond = 1.0 / (1.0 + odds)
+        if math.isinf(odds):  # b is subnormal below p ~ 1e-308
+            odds = None
+            notes.append(f"odds_increase_bound omitted: 1/b overflows at p = {p.value!r}")
     else:
         notes.append(
             f"Bayes-factor fields omitted: the bound -e*p*ln(p) requires p < 1/e "

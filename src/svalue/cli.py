@@ -1,9 +1,11 @@
 """Command-line front end: convert, combine, calibrate, curve, simulate.
 
 Output goes to stdout, diagnostics to stderr. Exit codes: 0 success, 1 I/O
-failure, 2 usage or domain error. JSON output is strict (no NaN/Infinity
-literals; unrepresentable values become nulls plus notes) with full-precision
-numbers; tables round to 4 significant figures.
+failure, 2 usage or domain error. Records are printed as the library returns
+them: a value it cannot give is None there (with a note), and an S-value that
+would overflow is refused with an OverflowError, which exits 2. JSON output is
+strict (no NaN/Infinity literals) with full-precision numbers; tables round to
+4 significant figures.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from typing import Any
 
@@ -40,16 +41,6 @@ from .units import (
 CSV_DIALECT = {"delimiter": ",", "lineterminator": "\n"}
 
 
-def _sanitize(value: Any, key: str, notes: list[str]) -> Any:
-    """Replace non-finite floats with None, explaining why in notes."""
-    if isinstance(value, float) and not math.isfinite(value):
-        notes.append(f"{key} is not representable in JSON ({value!r}) and was set to null")
-        return None
-    if isinstance(value, dict):
-        return {k: _sanitize(v, f"{key}.{k}", notes) for k, v in value.items()}
-    return value
-
-
 def _fmt_table(value: Any) -> str:
     if value is None:
         return "-"
@@ -72,15 +63,13 @@ def _flatten(payload: dict, prefix: str = "") -> dict[str, Any]:
 def _emit(payload: dict | list[dict], fmt: str) -> None:
     """Write one record (a dict) or a table of rows (a list of dicts) to stdout.
 
-    JSON records are sanitized and always carry a notes list; CSV and tables
-    flatten nested records to dotted keys. CSV drops the notes and the unit
-    column of rows; tables round and send notes to stderr.
+    JSON records always end in a notes list; CSV and tables flatten nested
+    records to dotted keys. CSV drops the notes and the unit column of rows;
+    tables round and send notes to stderr.
     """
     if fmt == "json":
         if isinstance(payload, dict):
-            notes = list(payload.pop("notes", ()))
-            payload = {k: _sanitize(v, k, notes) for k, v in payload.items()}
-            payload["notes"] = notes
+            payload["notes"] = list(payload.pop("notes", ()))
         print(json.dumps(payload, allow_nan=False))
         return
     rows = [_flatten(r) for r in (payload if isinstance(payload, list) else [payload])]
@@ -169,11 +158,11 @@ def cmd_curve(args: argparse.Namespace) -> list[dict]:
 def cmd_simulate(args: argparse.Namespace) -> dict:
     alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
     rng = RngSpec(args.seed, args.stream)
+    if not (args.trials is not None) == (args.theta0 is not None) == (args.generator == "binomial"):
+        raise ValueError("--trials and --theta0 go with --generator binomial, which needs both")
     if args.generator == "uniform":
         summary = simulate_uniform_p(args.n, rng, alphas)
     else:
-        if args.trials is None or args.theta0 is None:
-            raise ValueError("--generator binomial requires --trials and --theta0")
         summary = simulate_exact_binomial(args.n, args.trials, args.theta0, rng, alphas)
     record = _record(summary)
     payload = {"generator": args.generator, "n": record.pop("n"), "seed": args.seed,
@@ -182,6 +171,8 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
         payload.update(trials=args.trials, theta0=args.theta0)
     if summary.low_n:
         payload["notes"] = [f"n = {summary.n} is below {LOW_N}; summary statistics are unreliable"]
+    if summary.se_of_mean is None:  # n = 1, which is also below LOW_N
+        payload["notes"].append("se_of_mean is undefined at n = 1")
     return payload
 
 

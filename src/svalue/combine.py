@@ -22,7 +22,7 @@ import csv
 import math
 import os
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -158,14 +158,20 @@ class MethodComparison(NamedTuple):
     difference_nats: float  # pooled - s_summation
 
 
-def _summary_from_chisq(df: int, x: float) -> tuple[float, float]:
-    """(survival p, surprisal in nats) of a chi-squared statistic.
+def _summary_from_chisq(df: int, terms: Iterable[float], name: str) -> tuple[float, float, float]:
+    """(statistic, survival p, surprisal in nats) of the chi-squared statistic fsum(terms).
 
-    The surprisal comes from the log-space kernel and stays finite; p = e^-s is
-    for display and may underflow to 0.0.
+    A statistic that overflows is refused, naming it as `name`. The surprisal comes from
+    the log-space kernel and stays finite; p = e^-s is for display and may underflow to 0.0.
     """
+    try:  # fsum returns inf for an infinite term and raises on a finite overflow
+        x = math.fsum(terms)
+        if math.isinf(x):
+            raise OverflowError
+    except OverflowError:
+        raise OverflowError(f"the {name} overflows") from None
     s = -log_chisq_survival(ChiSquare(df), x)
-    return math.exp(-s), s
+    return x, math.exp(-s), s
 
 
 def s_summation_test(studies: StudyTable) -> CombinationReport:
@@ -175,12 +181,13 @@ def s_summation_test(studies: StudyTable) -> CombinationReport:
     2 * s_plus referred to chi-squared on 2K df.
     """
     (p,) = _columns(studies, "s_summation_test", p_form=True)
-    return _s_summation(len(p), math.fsum(-math.log(v) for v in p))
+    return _s_summation(len(p), (-2.0 * math.log(v) for v in p))
 
 
-def _s_summation(k: int, s_plus: float) -> CombinationReport:
-    """The S-summation report for K studies whose surprisals sum to s_plus nats."""
-    p_summary, s_summary = _summary_from_chisq(2 * k, 2.0 * s_plus)
+def _s_summation(k: int, terms: Iterable[float]) -> CombinationReport:
+    """The S-summation report for K studies from their 2 s_k, twice each surprisal in nats."""
+    x, p_summary, s_summary = _summary_from_chisq(2 * k, terms, "S-summation statistic 2 s_plus")
+    s_plus = x / 2.0  # exact: fsum rounds once, and halving is exact
     return CombinationReport(
         k=k,
         s_plus=SValue(s_plus, InfoUnit.NATS),
@@ -204,13 +211,8 @@ def z_squared_test(z_scores: list[float]) -> ZSquaredReport:
         if math.isnan(z) or math.isinf(z):
             raise ValueError(f"z-scores must be finite, got {z!r}")
     k = len(z_scores)
-    try:  # fsum returns inf for an infinite square and raises on a finite overflow
-        statistic = math.fsum(z * z for z in z_scores)
-        if math.isinf(statistic):
-            raise OverflowError
-    except OverflowError:
-        raise OverflowError("the sum of squared z-scores overflows") from None
-    p_summary, s_summary = _summary_from_chisq(k, statistic)
+    statistic, p_summary, s_summary = _summary_from_chisq(
+        k, (z * z for z in z_scores), "sum of squared z-scores")
     return ZSquaredReport(
         k=k,
         statistic=statistic,
@@ -236,9 +238,7 @@ def pooled_homogeneity_test(studies: StudyTable, null_value: float = 0.0) -> Poo
     pooled_estimate = math.fsum(w * e for w, e in zip(weights, estimate)) / total_w
     pooled_se = se_min / math.sqrt(total_w)
     z = (pooled_estimate - null_value) / pooled_se
-    if math.isinf(z):
-        raise OverflowError("the pooled z-score (estimate - null) / std_error overflows")
-    p_two_sided, log_p = _two_sided_tail(z)
+    p_two_sided, log_p = _two_sided_tail(z)  # refuses a z whose square overflows
     return PooledReport(
         k=len(estimate),
         pooled_estimate=pooled_estimate,
@@ -268,11 +268,12 @@ def compare_methods(studies: StudyTable, null_value: float = 0.0) -> MethodCompa
 
     Per-study P-values for the S-summation route are two-sided normal, from
     (estimate - null) / std_error; their surprisals stay finite where the P-values underflow.
+    Each study's z is checked first, then the pooled z.
     """
-    _columns(studies, "compare_methods", p_form=False)  # checked here, so errors name this function
-    pooled = pooled_homogeneity_test(studies, null_value)
     z_scores = _study_z_scores(studies, null_value, "compare_methods")
-    fisher = _s_summation(len(z_scores), math.fsum(-_two_sided_tail(z)[1] for z in z_scores))
+    pooled = pooled_homogeneity_test(studies, null_value)
+    # a list, so a study's own refusal by _two_sided_tail is not renamed by the statistic's
+    fisher = _s_summation(len(z_scores), [-2.0 * _two_sided_tail(z)[1] for z in z_scores])
     s_fisher = fisher.s_summary.value
     return MethodComparison(
         s_summation=fisher,

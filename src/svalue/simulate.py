@@ -68,7 +68,7 @@ class SimulationSummary(NamedTuple):
     n: int
     mean_s_nats: float
     mean_s_bits: float
-    se_of_mean: float  # standard error of mean_s_nats; NaN when n = 1
+    se_of_mean: float | None  # standard error of mean_s_nats; None when n = 1
     empirical_type1: dict[float, float]  # alpha -> rejection rate
     dominance_violations: int  # alphas with rate > alpha + 3 binomial SEs
     low_n: bool
@@ -78,7 +78,7 @@ class EValueCheck(NamedTuple):
     n: int
     generator: str
     mean_e_condition: float  # sample mean of -ln P
-    se_of_mean: float
+    se_of_mean: float | None  # None when n = 1
     passed: bool  # mean - 3 SE does not exceed 1
     low_n: bool
 
@@ -123,7 +123,7 @@ def _pool(groups: list[tuple], alphas: list[float]) -> SimulationSummary:
     mean_nats = math.fsum(sums) / n
     devs = [m - mean_nats for m in means]
     m2 = math.fsum(m2s) + math.fsum(k * (d * d) for k, d in zip(counts, devs))
-    se = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.nan
+    se = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else None
     rates: dict[float, float] = {}
     violations = 0
     for a, h in zip(alphas, map(sum, zip(*hits))):
@@ -249,7 +249,7 @@ def evalue_check(
     else:
         raise ValueError(f"unknown generator {generator!r}; expected uniform or binomial")
     mean, se = summary.mean_s_nats, summary.se_of_mean
-    margin = 3.0 * se if math.isfinite(se) else 0.0
+    margin = 0.0 if se is None else 3.0 * se
     return EValueCheck(
         n=n,
         generator=generator,

@@ -5,7 +5,6 @@ Every number comes from `calibration_report`, the one calibration entry point.
 
 import math
 
-import numpy as np
 import pytest
 
 from svalue.calibrate import BF_BOUND_MAX_P, calibration_report
@@ -34,6 +33,7 @@ class TestMlrNormal1df:
         assert cal(0.8).mlr > 1.0
 
     def test_always_at_least_one(self):
+        import numpy as np
         rng = np.random.default_rng(31)
         for p in rng.uniform(1e-10, 1.0 - 1e-10, size=300):
             assert cal(float(p)).mlr >= 1.0
@@ -88,11 +88,13 @@ class TestBayesFactorBound:
         assert rep.conditional_type1 == pytest.approx(0.5, abs=1e-5)
 
     def test_bound_below_one_on_valid_region(self):
+        import numpy as np
         rng = np.random.default_rng(33)
         for p in rng.uniform(1e-12, BF_BOUND_MAX_P, size=500):
             assert cal(float(p)).bf_lower_bound < 1.0
 
     def test_conditional_type1_range_and_monotonicity(self):
+        import numpy as np
         grid = np.linspace(1e-6, BF_BOUND_MAX_P - 1e-6, 200)
         vals = [cal(float(p)).conditional_type1 for p in grid]
         assert all(0.0 < v < 0.5 for v in vals)
@@ -132,6 +134,13 @@ class TestCalibrationReport:
         assert rep.aic_delta is None
         assert rep.bf_lower_bound is not None
         assert any("d = 1" in n for n in rep.notes)
+
+    def test_overflowing_odds_bound_is_none_with_note(self):
+        # b is subnormal at p = 1e-320, so 1/b overflows; b itself and 1 / (1 + 1/b) are finite
+        rep = calibration_report(PValue(1e-320), 2)
+        assert rep.bf_lower_bound > 0.0
+        assert (rep.odds_increase_bound, rep.conditional_type1) == (None, 0.0)
+        assert rep.notes[-1] == "odds_increase_bound omitted: 1/b overflows at p = 1e-320"
 
     def test_both_absent(self):
         rep = calibration_report(PValue(0.5), 3)

@@ -238,8 +238,14 @@ class TestCalibrate:
         payload = strict_json(out)
         assert payload["odds_increase_bound"] is None
         assert payload["conditional_type1"] == 0.0
-        assert ("odds_increase_bound is not representable in JSON (inf) and was set to null"
-                in payload["notes"])
+        assert payload["notes"][-1] == "odds_increase_bound omitted: 1/b overflows at p = 1e-320"
+        code, out, _ = run(capsys, "calibrate", "--p", "1e-320", "--d", "2", "--format", "csv")
+        assert code == 0
+        row = next(csv.DictReader(out.splitlines()))
+        assert (row["odds_increase_bound"], row["conditional_type1"]) == ("", "0.0")
+        code, out, _ = run(capsys, "calibrate", "--p", "1e-320", "--d", "2")
+        assert code == 0
+        assert "odds_increase_bound  -\n" in out
 
 
 class TestCurve:
@@ -329,6 +335,17 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "--generator", "binomial", "--n", "100")
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [
+        ["--trials", "20", "--theta0", "0.3"],  # a uniform run would ignore both
+        ["--theta0", "0.3"],
+        ["--generator", "binomial", "--trials", "20"],
+    ])
+    def test_binomial_options_only_together_with_binomial(self, capsys, extra):
+        code, out, err = run(capsys, "simulate", "--n", "2000", *extra)
+        assert (code, out) == (2, "")
+        assert err == ("error: --trials and --theta0 go with --generator binomial, "
+                       "which needs both\n")
+
     def test_n_zero_rejected(self, capsys):
         code, _, _ = run(capsys, "simulate", "--n", "0")
         assert code == 2
@@ -346,7 +363,7 @@ class TestSimulate:
         assert payload["se_of_mean"] is None
         assert payload["notes"] == [
             "n = 1 is below 1000; summary statistics are unreliable",
-            "se_of_mean is not representable in JSON (nan) and was set to null",
+            "se_of_mean is undefined at n = 1",
         ]
 
 
@@ -399,6 +416,27 @@ class TestArithmeticErrors:
         code, out, err = run(capsys, "combine", "--input", str(f), "--method", method)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "overflows" in err
+
+    @pytest.mark.parametrize("method, rows, message", [
+        ("pooled", "a,1e200,1\n", "the S-value at z = 1e+200 overflows"),
+        ("compare", "a,1e200,1\n", "the S-value at z = 1e+200 overflows"),
+        ("compare", "a,1.3e154,1\nb,-1.3e154,1\n", "the S-summation statistic 2 s_plus overflows"),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_overflowing_s_value(self, capsys, tmp_path, method, rows, message, fmt):
+        f = tmp_path / "big.csv"
+        f.write_text("id,estimate,std_error\n" + rows, encoding="utf-8")
+        code, out, err = run(capsys, "combine", "--input", str(f), "--method", method,
+                             "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_curve_z_squared_overflow(self, capsys):
+        code, out, err = run(capsys, "curve", "--estimate", "0", "--se", "1e-300",
+                             "--from", "-1", "--to", "1", "--steps", "3")
+        assert (code, out) == (2, "")
+        assert err == ("error: the S-value at z = 9.999999999999999e+299 overflows: "
+                       "z^2 is past the largest double\n")
 
     @pytest.mark.parametrize("method", ["compare", "z2"])
     def test_overflowing_study_z_names_the_study(self, capsys, tmp_path, method):

@@ -7,7 +7,6 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError
 
-import numpy as np
 import pytest
 
 from svalue.combine import (
@@ -125,6 +124,7 @@ class TestSSummation:
         )
 
     def test_order_invariance(self):
+        import numpy as np
         a = s_summation_test(p_studies(0.01, 0.2, 0.7))
         b = s_summation_test(p_studies(0.7, 0.01, 0.2))
         assert a.p_summary == b.p_summary
@@ -143,6 +143,7 @@ class TestSSummation:
             s_summation_test(effect_studies((0.3, 0.1)))
 
     def test_noise_nat_accounting_monte_carlo(self):
+        import numpy as np
         # Under uniform nulls: E[s_plus] = K, E[s_summary] = 1, so the mean
         # shrinkage is K - 1 nats.
         k, reps = 3, 50_000
@@ -266,6 +267,10 @@ class TestPooled:
         with pytest.raises(OverflowError):
             pooled_homogeneity_test(effect_studies((1e308, 1e-308), (1.0, 1.0)))
 
+    def test_overflowing_z_squared_raises(self):
+        with pytest.raises(OverflowError, match=r"^the S-value at z = 1e\+200 overflows"):
+            pooled_homogeneity_test(effect_studies((1e200, 1.0)))
+
     @pytest.mark.parametrize("test", [pooled_homogeneity_test, compare_methods])
     @pytest.mark.parametrize("null", [math.nan, math.inf, -math.inf])
     def test_non_finite_null_rejected(self, test, null):
@@ -297,6 +302,7 @@ class TestCompareMethods:
         assert cmp_.s_summation_nats > cmp_.pooled.s_summary.value
 
     def test_per_study_p_values_are_two_sided(self):
+        import numpy as np
         cmp_ = compare_methods(effect_studies((0.3, 0.1), (0.3, 0.1)), 0.0)
         # each study sits at z = 3
         assert cmp_.s_summation.s_plus.value == pytest.approx(
@@ -311,6 +317,7 @@ class TestCompareMethods:
         assert cmp_.s_summation == s_summation_test(as_p)
 
     def test_order_invariance(self):
+        import numpy as np
         rng = np.random.default_rng(98)
         ses = rng.uniform(0.05, 2.0, size=10_000)
         pairs = list(zip(rng.normal(0.1, 1.0, size=10_000) * ses, ses))
@@ -322,6 +329,15 @@ class TestCompareMethods:
         studies = StudyTable.from_columns(["a", "b"], [1e300, 0.0], [1e-10, 1e-20])
         with pytest.raises(OverflowError, match=r"^study 'a': the z-score .* overflows$"):
             compare_methods(studies)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(1e200, 1.0)], "the S-value at z = 1e+200 overflows"),  # the pooled z's square
+        # the pooled z is 0, but the two studies' 2 s_k sum past the largest double
+        ([(1.3e154, 1.0), (-1.3e154, 1.0)], "the S-summation statistic 2 s_plus overflows"),
+    ])
+    def test_overflowing_s_value_is_refused(self, rows, message):
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}"):
+            compare_methods(effect_studies(*rows))
 
 
 class TestCsvIngestion:

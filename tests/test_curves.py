@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from svalue.curves import CurvePoint, EstimateSpec, curve, curve_point
@@ -35,6 +34,7 @@ class TestPLower:
         )
 
     def test_strictly_decreasing_in_mu1(self):
+        import numpy as np
         spec = EstimateSpec(0.3, 0.7)
         grid = np.linspace(-3.0, 3.0, 500)
         vals = [curve_point(spec, float(m)).p_ge for m in grid]
@@ -55,6 +55,7 @@ class TestSUpperComplement:
         assert s.value == pytest.approx(1.0654340491895766, abs=1e-9)
 
     def test_grows_without_bound_as_mu1_decreases(self):
+        import numpy as np
         spec = EstimateSpec(0.0, 1.0)
         grid = np.linspace(-8.0, 2.0, 300)
         vals = [curve_point(spec, float(m)).s_le.value for m in grid]
@@ -71,6 +72,7 @@ class TestSUpperComplement:
         assert point.s_le.value == pytest.approx(bits, rel=1e-15, abs=0)
 
     def test_tracks_p_ge(self):
+        import numpy as np
         # the two quantities rise and fall together across any grid
         spec = EstimateSpec(0.4, 0.3)
         grid = np.linspace(-1.0, 2.0, 200)

@@ -73,7 +73,7 @@ class TestSimulateUniformP:
         s = simulate_uniform_p(1, RngSpec(0), [0.5])
         assert s.n == 1
         assert s.low_n
-        assert math.isnan(s.se_of_mean)
+        assert s.se_of_mean is None
 
     def test_duplicate_alphas_count_once(self):
         # 3 of these 10 draws fall at or below 0.05, a violation at that level
@@ -245,6 +245,11 @@ class TestEvalueCheck:
         chk = evalue_check(500, RngSpec(3), "uniform")
         assert chk.low_n
         assert isinstance(chk.passed, bool)
+
+    def test_single_replicate_has_no_standard_error(self):
+        chk = evalue_check(1, RngSpec(0), "uniform")
+        assert chk.se_of_mean is None
+        assert chk.passed == (chk.mean_e_condition <= 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="replicate count must be a positive integer, got 0"):

@@ -1,8 +1,8 @@
 """Special-function kernels against exact closed forms and quadrature."""
 
 import math
+import re
 
-import numpy as np
 import pytest
 
 from svalue.specfun import (
@@ -84,6 +84,7 @@ class TestRegGammaUpper:
                 )
 
     def test_decreasing_in_x(self):
+        import numpy as np
         rng = np.random.default_rng(11)
         for a in (0.5, 1.5, 4.0, 20.0):
             xs = np.sort(rng.uniform(0.0, 60.0, size=50))
@@ -200,6 +201,13 @@ class TestTwoSidedTail:
         assert log_p == pytest.approx(LOG_TWO_SIDED[z], rel=1e-15, abs=0)
         assert p == math.erfc(abs(z) / math.sqrt(2.0))  # 0.0 at |z| = 40
 
+    @pytest.mark.parametrize("z", [1.4e154, -1e200, 1.7e308, math.inf])
+    def test_refused_where_z_squared_overflows(self, z):
+        # 1.3e154 squares to 1.69e308, finite; these square past the largest double
+        assert math.isfinite(_two_sided_tail(1.3e154)[1])
+        with pytest.raises(OverflowError, match=re.escape(f"the S-value at z = {z!r} overflows")):
+            _two_sided_tail(z)
+
 
 class TestNormalCdf:
     def test_symmetry_point(self):
@@ -219,11 +227,13 @@ class TestNormalCdf:
         assert normal_cdf(-1.96) == pytest.approx(0.024997895148220435, abs=1e-12)
 
     def test_complement_identity(self):
+        import numpy as np
         rng = np.random.default_rng(3)
         for z in rng.uniform(-8.0, 8.0, size=200):
             assert normal_cdf(z) + normal_cdf(-z) == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone(self):
+        import numpy as np
         # [-8, 8] keeps consecutive values representable as distinct doubles
         zs = np.sort(np.random.default_rng(5).uniform(-8, 8, size=100))
         vals = [normal_cdf(float(z)) for z in zs]
@@ -265,6 +275,7 @@ class TestNormalQuantile:
         assert normal_quantile(q) == pytest.approx(float(z), rel=1e-14, abs=0)
 
     def test_round_trip_through_cdf(self):
+        import numpy as np
         qs = np.concatenate(
             [
                 10.0 ** np.arange(-10, -1, 0.5),
@@ -283,6 +294,7 @@ class TestNormalQuantile:
             assert normal_quantile(normal_cdf(z)) == pytest.approx(z, abs=1e-9)
 
     def test_monotone(self):
+        import numpy as np
         qs = np.sort(np.random.default_rng(9).uniform(1e-8, 1 - 1e-8, size=200))
         vals = [normal_quantile(float(q)) for q in qs]
         assert all(u < v for u, v in zip(vals, vals[1:]))

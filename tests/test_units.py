@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from svalue.units import (
@@ -72,6 +71,7 @@ class TestSurprisal:
         )
 
     def test_strictly_antitone(self):
+        import numpy as np
         rng = np.random.default_rng(21)
         ps = np.sort(rng.uniform(1e-12, 1.0, size=300))
         for unit in ALL_UNITS:
@@ -79,6 +79,7 @@ class TestSurprisal:
             assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_product_rule(self):
+        import numpy as np
         rng = np.random.default_rng(22)
         for _ in range(300):
             p1, p2 = rng.uniform(1e-8, 1.0, size=2)
@@ -90,6 +91,7 @@ class TestSurprisal:
                 assert joint == pytest.approx(split, rel=1e-10, abs=0)
 
     def test_cross_unit_consistency(self):
+        import numpy as np
         rng = np.random.default_rng(23)
         for p in rng.uniform(1e-10, 1.0, size=200):
             pv = PValue(float(p))
@@ -113,6 +115,7 @@ class TestConvert:
         assert convert(s, InfoUnit.NATS) == s
 
     def test_round_trip_all_unit_pairs(self):
+        import numpy as np
         rng = np.random.default_rng(24)
         for v in rng.uniform(0.0, 100.0, size=50):
             for u in ALL_UNITS:
@@ -147,6 +150,7 @@ class TestFromSurprisal:
         assert from_surprisal(SValue(745.0, InfoUnit.NATS)).value == 5e-324
 
     def test_round_trip_identity(self):
+        import numpy as np
         rng = np.random.default_rng(25)
         for p in rng.uniform(1e-10, 1.0, size=200):
             for unit in ALL_UNITS:
