@@ -28,7 +28,7 @@ class CalibrationReport(NamedTuple):
     aic_delta: float | None  # 2 ln(mlr) - 2d
     bf_lower_bound: float | None  # lower bound b on the Bayes factor, in (0, 1]
     odds_increase_bound: float | None  # 1/b, upper bound on the posterior odds increase
-    conditional_type1: float | None  # 1 / (1 + 1/b)
+    conditional_type1: float | None  # 1 / (1 + 1/b), or b / (1 + b) where 1/b overflows
     notes: tuple[str, ...] = ()
 
 
@@ -62,8 +62,8 @@ def calibration_report(p: PValue, d: int = 1) -> CalibrationReport:
         b = -math.e * p.value * math.log(p.value)
         odds = 1.0 / b
         cond = 1.0 / (1.0 + odds)
-        if math.isinf(odds):  # b is subnormal below p ~ 1e-308
-            odds = None
+        if math.isinf(odds):  # b is subnormal below p ~ 1e-308; 1 / (1 + 1/b) would read 0
+            odds, cond = None, b / (1.0 + b)
             notes.append(f"odds_increase_bound omitted: 1/b overflows at p = {p.value!r}")
     else:
         notes.append(

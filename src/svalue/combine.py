@@ -22,8 +22,7 @@ import csv
 import math
 import os
 from array import array
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 from .specfun import ChiSquare, _two_sided_tail, log_chisq_survival
@@ -61,21 +60,28 @@ P_COLUMNS = ("id", "p")
 EFFECT_COLUMNS = ("id", "estimate", "std_error")
 
 
-@dataclass(frozen=True, eq=False)
 class StudyTable(Sequence):
     """Checked studies as read-only `ids` and float `columns`, (p,) or (estimate, std_error).
 
     `studies_from_csv` reads one from a file and `from_columns` builds one in memory. Indexing
-    gives a Study row, built without checking again; a slice gives a list."""
+    and iteration give Study rows, built without checking again; a slice gives a list."""
 
+    __slots__ = ("ids", "columns")
     ids: Sequence[str]
     columns: tuple[Sequence[float], ...]
 
-    def __post_init__(self) -> None:  # O(1): the builders have checked every study
-        if not (self.ids and len(self.columns) in (1, 2) and all(
+    def __init__(self, ids: Sequence[str], columns: tuple[Sequence[float], ...]) -> None:
+        if not (ids and len(columns) in (1, 2) and all(  # O(1): the builders checked each study
                 isinstance(c, memoryview) and c.readonly and c.format == "d"
-                and len(c) == len(self.ids) for c in self.columns)):
+                and len(c) == len(ids) for c in columns)):
             raise TypeError("build a StudyTable with studies_from_csv or StudyTable.from_columns")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "columns", columns)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"a StudyTable is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def from_columns(cls, ids: Sequence[str], *columns: Sequence[float]) -> StudyTable:
@@ -102,6 +108,12 @@ class StudyTable(Sequence):
         if len(self.columns) == 1:
             return Study(self.ids[i], self.columns[0][i])
         return Study(self.ids[i], None, self.columns[0][i], self.columns[1][i])
+
+    def __iter__(self) -> Iterator[Study]:
+        rows = zip(self.ids, *self.columns)
+        if len(self.columns) == 1:
+            return (Study(id_, p) for id_, p in rows)
+        return (Study(id_, None, estimate, std_error) for id_, estimate, std_error in rows)
 
 
 def _columns(studies: StudyTable, test: str, p_form: bool) -> tuple:

@@ -10,25 +10,24 @@ The one-sided P-value depends on mu1 alone, not on any null mu0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .specfun import _two_sided_tail, normal_cdf
+from .specfun import _checked_make, _two_sided_tail, normal_cdf
 from .units import InfoUnit, SValue
 
 
-@dataclass(frozen=True)
-class EstimateSpec:
+class EstimateSpec(NamedTuple("EstimateSpec", [("estimate", float), ("std_error", float)])):
     """A point estimate with its standard error."""
 
-    estimate: float
-    std_error: float
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.estimate) or math.isinf(self.estimate):
-            raise ValueError(f"estimate must be finite, got {self.estimate!r}")
-        if not (self.std_error > 0.0) or math.isinf(self.std_error):
-            raise ValueError(f"std_error must be positive and finite, got {self.std_error!r}")
+    def __new__(cls, estimate: float, std_error: float) -> EstimateSpec:
+        if math.isnan(estimate) or math.isinf(estimate):
+            raise ValueError(f"estimate must be finite, got {estimate!r}")
+        if not (std_error > 0.0) or math.isinf(std_error):
+            raise ValueError(f"std_error must be positive and finite, got {std_error!r}")
+        return tuple.__new__(cls, (estimate, std_error))
 
 
 class CurvePoint(NamedTuple):
@@ -42,21 +41,19 @@ class CurvePoint(NamedTuple):
 
 def curve_point(spec: EstimateSpec, mu1: float, unit: InfoUnit = InfoUnit.BITS) -> CurvePoint:
     """The one-sided and two-sided P-/S-values at one hypothesized value mu1."""
-    t = (spec.estimate - mu1) / spec.std_error
-    k = unit.nats_per_unit
+    return _point(spec.estimate, spec.std_error, mu1, unit.nats_per_unit, unit)
+
+
+def _point(estimate: float, std_error: float, mu1: float, k: float, unit: InfoUnit) -> CurvePoint:
+    """curve_point at mu1, with k = unit.nats_per_unit."""
+    t = (estimate - mu1) / std_error
     p_two, log_p_two = _two_sided_tail(t)  # 2 Phi(-|t|); its log stays finite where it underflows
     p_near = normal_cdf(abs(t))  # the one-sided P on the estimate's side, >= 1/2
     p_ge, p_le = (p_near, 0.5 * p_two) if t >= 0.0 else (0.5 * p_two, p_near)
     # p_le below 2^-1022 is p_two / 2, so its log is the kernel's log of p_two less ln 2
     log_p_le = math.log(p_le) if p_le >= 2.0 ** -1022 else log_p_two - math.log(2.0)
-    return CurvePoint(
-        mu1=mu1,
-        p_ge=p_ge,
-        p_le=p_le,
-        s_le=SValue(-log_p_le / k, unit),
-        p_two=p_two,
-        s_two=SValue(-log_p_two / k, unit),
-    )
+    return CurvePoint(mu1, p_ge, p_le, SValue(-log_p_le / k, unit), p_two,
+                      SValue(-log_p_two / k, unit))
 
 
 def curve(
@@ -77,7 +74,8 @@ def curve(
     width = to - from_
     if math.isinf(width):
         raise ValueError(f"grid width to - from overflows, got [{from_}, {to}]")
-    return [
-        curve_point(spec, to if i == steps - 1 else from_ + width * i / (steps - 1), unit)
-        for i in range(steps)
-    ]
+    n = steps - 1
+    # the grid point from_ + width * i / n, or (width / n) * i where width * i overflows
+    grid = [from_ + (x / n if (x := width * i) < math.inf else width / n * i) for i in range(n)]
+    estimate, std_error, k = spec.estimate, spec.std_error, unit.nats_per_unit
+    return [_point(estimate, std_error, mu1, k, unit) for mu1 in grid + [to]]

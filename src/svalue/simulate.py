@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
+from .specfun import _checked_make
 from .units import InfoUnit
 
 if TYPE_CHECKING:
@@ -46,17 +46,17 @@ KS_CRITICAL_COEF = 1.63  # asymptotic one-sample KS critical value at the 1% lev
 CHUNK = 1 << 16  # values per uniform-draw and KS chunk; fixed, so reruns stay bit-identical
 
 
-@dataclass(frozen=True)
-class RngSpec:
+class RngSpec(NamedTuple("RngSpec", [("seed", int), ("stream", int)])):
     """Seed and substream index for a reproducible PCG64 stream."""
 
-    seed: int
-    stream: int = 0
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
-        for name, v in (("seed", self.seed), ("stream", self.stream)):
+    def __new__(cls, seed: int, stream: int = 0) -> RngSpec:
+        for name, v in (("seed", seed), ("stream", stream)):
             if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < 2**64):
                 raise ValueError(f"{name} must be an integer in [0, 2^64), got {v!r}")
+        return tuple.__new__(cls, (seed, stream))
 
     def generator(self) -> np.random.Generator:
         import numpy as np

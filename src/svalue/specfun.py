@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Convergence policy: the series sum and the continued fraction's h are final once
 # a step leaves them unchanged, h also once a step's factor is within an ulp of 1;
@@ -40,17 +40,23 @@ class ConvergenceError(ArithmeticError):
     """An iterative kernel failed to converge within its iteration bound."""
 
 
-@dataclass(frozen=True)
-class ChiSquare:
+def _checked_make(cls, fields):
+    """`_make`, and so `_replace`, of a checked value type: through its checking `__new__`."""
+    return cls(*fields)
+
+
+class ChiSquare(NamedTuple("ChiSquare", [("df", int)])):
     """Chi-squared distribution with a positive integer number of df."""
 
-    df: int
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.df, int) or isinstance(self.df, bool):
-            raise ValueError(f"df must be an integer, got {self.df!r}")
-        if self.df < 1:
-            raise ValueError(f"df must be >= 1, got {self.df}")
+    def __new__(cls, df: int) -> ChiSquare:
+        if not isinstance(df, int) or isinstance(df, bool):
+            raise ValueError(f"df must be an integer, got {df!r}")
+        if df < 1:
+            raise ValueError(f"df must be >= 1, got {df}")
+        return tuple.__new__(cls, (df,))
 
 
 def _log_prefactor(a: float, x: float) -> float:

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .specfun import normal_quantile
+from .specfun import _checked_make, normal_quantile
 
 
 class InfoUnit(enum.Enum):
@@ -29,21 +29,20 @@ _NATS_PER_UNIT = {
 }
 
 
-@dataclass(frozen=True)
-class PValue:
+class PValue(NamedTuple("PValue", [("value", float)])):
     """A probability in the half-open interval (0, 1].
 
     Zero is rejected at construction: its surprisal is infinite and every
     downstream formula would stop being total.
     """
 
-    value: float
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
-        v = self.value
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"P-value must be a real number, got {v!r}")
-        object.__setattr__(self, "value", float(_check_p(v)))
+    def __new__(cls, value: float) -> PValue:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"P-value must be a real number, got {value!r}")
+        return tuple.__new__(cls, (float(_check_p(value)),))
 
 
 def _check_p(v: float) -> float:
@@ -53,26 +52,25 @@ def _check_p(v: float) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class SValue:
+class SValue(NamedTuple("SValue", [("value", float), ("unit", InfoUnit)])):
     """A non-negative surprisal with an explicit information unit.
 
     The unit is carried rather than normalized away: reports quote bits, nats
     and dits side by side, and an explicit tag prevents silent scale errors.
     """
 
-    value: float
-    unit: InfoUnit
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
-        v = self.value
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"S-value must be a real number, got {v!r}")
-        if math.isnan(v) or v < 0.0:
-            raise ValueError(f"S-value must be >= 0, got {v!r}")
-        if not isinstance(self.unit, InfoUnit):
-            raise ValueError(f"unit must be an InfoUnit, got {self.unit!r}")
-        object.__setattr__(self, "value", float(v) + 0.0)  # normalize -0.0
+    def __new__(cls, value: float, unit: InfoUnit) -> SValue:
+        if type(value) is not float and (  # a float passes at once: a curve makes two per point
+                isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ValueError(f"S-value must be a real number, got {value!r}")
+        if not value >= 0.0:  # negative or NaN
+            raise ValueError(f"S-value must be >= 0, got {value!r}")
+        if not isinstance(unit, InfoUnit):
+            raise ValueError(f"unit must be an InfoUnit, got {unit!r}")
+        return tuple.__new__(cls, (float(value) + 0.0, unit))  # normalize -0.0
 
 
 def surprisal(p: PValue, unit: InfoUnit = InfoUnit.BITS) -> SValue:

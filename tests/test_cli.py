@@ -237,18 +237,33 @@ class TestCalibrate:
         assert code == 0
         payload = strict_json(out)
         assert payload["odds_increase_bound"] is None
-        assert payload["conditional_type1"] == 0.0
+        # b / (1 + b) where 1/b overflows; mpmath 1.3.0 (see test_calibrate for the tolerance)
+        cond = payload["conditional_type1"]
+        assert cond == pytest.approx(2.002881801662105319e-317, rel=1e-4, abs=0)
         assert payload["notes"][-1] == "odds_increase_bound omitted: 1/b overflows at p = 1e-320"
         code, out, _ = run(capsys, "calibrate", "--p", "1e-320", "--d", "2", "--format", "csv")
         assert code == 0
         row = next(csv.DictReader(out.splitlines()))
-        assert (row["odds_increase_bound"], row["conditional_type1"]) == ("", "0.0")
+        assert (row["odds_increase_bound"], float(row["conditional_type1"])) == ("", cond)
         code, out, _ = run(capsys, "calibrate", "--p", "1e-320", "--d", "2")
         assert code == 0
         assert "odds_increase_bound  -\n" in out
 
 
 class TestCurve:
+    def test_grid_wider_than_the_largest_double_over_its_steps(self, capsys):
+        # width * i overflows from i = 2, so those points step by width / 3 instead
+        code, out, err = run(capsys, "curve", "--estimate", "0", "--se", "1e300", "--from", "0",
+                             "--to", "1e308", "--steps", "4", "--format", "json")
+        assert (code, err) == (0, "")
+        rows = strict_json(out)
+        assert [r["mu1"] for r in rows] == [0.0, 1e308 / 3, 1e308 / 3 * 2, 1e308]
+        # -log2 erfc(|t| / sqrt 2) at t = -mu1 / 1e300; mpmath 1.3.0, 40 digits
+        oracle = [0.0, 801497244938338.2605829719, 3205988979753278.093700918,
+                  7213475204444843.937972447]
+        for row, s_two in zip(rows, oracle):
+            assert row["s_two"] == pytest.approx(s_two, rel=1e-15, abs=0)
+
     def test_one_sided_s_finite_where_p_le_underflows(self, capsys):
         code, out, err = run(capsys, "curve", "--estimate", "0", "--se", "1",
                              "--from", "-50", "--to", "50", "--steps", "3")

@@ -5,7 +5,6 @@ import math
 import re
 from array import array
 from collections.abc import Sequence
-from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -459,12 +458,24 @@ class TestStudyTable:
                 table[i]
         assert table.index(by_hand[1]) == 1 and by_hand[2] in table
 
+    @pytest.mark.parametrize("columns", [
+        ([0.5, 1e-300, 1.0],),
+        ([0.3, -1e300, 0.0], [0.1, 1e-300, 2.0]),
+    ], ids=["p", "effect"])
+    def test_iteration_gives_the_indexed_rows(self, columns):
+        table = StudyTable.from_columns(["a", "b", "c"], *columns)
+        rows = list(table)
+        assert rows == [table[i] for i in range(len(table))]
+        assert all(type(row) is Study for row in rows)
+
     def test_read_only(self, tmp_path):
         table = studies_from_csv(write_studies(tmp_path / "p.csv", "id,p", [(0.5,), (0.25,)]))
         with pytest.raises(TypeError):
             table.columns[0][0] = 0.125
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             table.ids = ("x", "y")
+        with pytest.raises(AttributeError):
+            del table.columns
         assert table.ids == ("s0", "s1") and list(table.columns[0]) == [0.5, 0.25]
         with pytest.raises(TypeError):
             StudyTable.from_columns(["a"], [0.5]).columns[0][0] = 0.125
@@ -499,12 +510,12 @@ class TestStudyTable:
             built.append(cls.__name__)
             return new(cls, *args)
 
-        def counting_check(self, check=PValue.__post_init__):
-            built.append(type(self).__name__)
-            check(self)
+        def counting_check(cls, *args, new=PValue.__new__):
+            built.append(cls.__name__)
+            return new(cls, *args)
 
         monkeypatch.setattr(Study, "__new__", counting_new)
-        monkeypatch.setattr(PValue, "__post_init__", counting_check)
+        monkeypatch.setattr(PValue, "__new__", counting_check)
         p_file = write_studies(tmp_path / "p.csv", "id,p", [(0.5,), (0.01,), (1.0,)])
         e_file = write_studies(tmp_path / "e.csv", "id,estimate,std_error", [(0.3, 0.1), (-1, 2)])
         s_summation_test(studies_from_csv(p_file))

@@ -86,6 +86,11 @@ class TestCurve:
     def test_grid_contract(self):
         pts = curve(EstimateSpec(0.0, 1.0), 1.0, 2.0, 2)
         assert [pt.mu1 for pt in pts] == [1.0, 2.0]
+        # from + width * i / (steps - 1), rounded once; width / 10 * i differs at 3 of these
+        spec = EstimateSpec(0.3, 0.7)
+        pts = curve(spec, 0.0, 1.0, 11, InfoUnit.NATS)
+        assert [pt.mu1 for pt in pts] == [1.0 * i / 10 for i in range(10)] + [1.0]
+        assert pts == [curve_point(spec, pt.mu1, InfoUnit.NATS) for pt in pts]
 
     def test_endpoints_exact_even_for_awkward_floats(self):
         pts = curve(EstimateSpec(0.0, 1.0), 0.1, 0.3, 3)

@@ -2,7 +2,10 @@
 
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,3 +96,14 @@ def test_result_records_are_read_only_named_tuples(name):
     for field in cls._fields:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, because this one has loaded both; -S, so that what a site hook
+    # imports is not counted
+    script = "import sys, svalue.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -1,0 +1,92 @@
+"""The checked value types: PValue, SValue, ChiSquare, EstimateSpec and RngSpec.
+
+Each is a read-only named tuple whose construction checks its fields. The same
+checks run on every route to an instance: the constructor, `_make` and
+`_replace`; unpickling goes through the constructor.
+"""
+
+import math
+import pickle
+
+import pytest
+
+from svalue.curves import EstimateSpec
+from svalue.simulate import RngSpec
+from svalue.specfun import ChiSquare
+from svalue.units import InfoUnit, PValue, SValue
+
+GOOD = {
+    PValue: {"value": 0.05},
+    SValue: {"value": 2.5, "unit": InfoUnit.NATS},
+    ChiSquare: {"df": 3},
+    EstimateSpec: {"estimate": 1.2, "std_error": 0.5},
+    RngSpec: {"seed": 42, "stream": 3},
+}
+
+# (type, one bad field, its value, the whole message)
+BAD = [
+    (PValue, "value", "0.5", "P-value must be a real number, got '0.5'"),
+    (PValue, "value", None, "P-value must be a real number, got None"),
+    (PValue, "value", True, "P-value must be a real number, got True"),
+    (PValue, "value", 0.0, "P-value must lie in the half-open interval (0, 1], got 0.0"),
+    (PValue, "value", 1.0000001,
+     "P-value must lie in the half-open interval (0, 1], got 1.0000001"),
+    (PValue, "value", math.nan, "P-value must lie in the half-open interval (0, 1], got nan"),
+    (SValue, "value", "1", "S-value must be a real number, got '1'"),
+    (SValue, "value", False, "S-value must be a real number, got False"),
+    (SValue, "value", -0.1, "S-value must be >= 0, got -0.1"),
+    (SValue, "value", math.nan, "S-value must be >= 0, got nan"),
+    (SValue, "unit", "bits", "unit must be an InfoUnit, got 'bits'"),
+    (ChiSquare, "df", 2.0, "df must be an integer, got 2.0"),
+    (ChiSquare, "df", True, "df must be an integer, got True"),
+    (ChiSquare, "df", 0, "df must be >= 1, got 0"),
+    (EstimateSpec, "estimate", math.nan, "estimate must be finite, got nan"),
+    (EstimateSpec, "estimate", -math.inf, "estimate must be finite, got -inf"),
+    (EstimateSpec, "std_error", 0.0, "std_error must be positive and finite, got 0.0"),
+    (EstimateSpec, "std_error", math.inf, "std_error must be positive and finite, got inf"),
+    (RngSpec, "seed", -1, "seed must be an integer in [0, 2^64), got -1"),
+    (RngSpec, "seed", 1.5, "seed must be an integer in [0, 2^64), got 1.5"),
+    (RngSpec, "stream", 2**64, "stream must be an integer in [0, 2^64), got 18446744073709551616"),
+    (RngSpec, "stream", True, "stream must be an integer in [0, 2^64), got True"),
+]
+BAD_IDS = [f"{cls.__name__}.{field}={value!r}" for cls, field, value, _ in BAD]
+
+
+def good(cls):
+    return cls(**GOOD[cls])
+
+
+@pytest.mark.parametrize("cls, field, value, message", BAD, ids=BAD_IDS)
+def test_bad_field_raises_its_message_on_every_route(cls, field, value, message):
+    fields = {**GOOD[cls], field: value}
+    for build in (lambda: cls(**fields), lambda: cls(*fields.values()),
+                  lambda: cls._make(fields.values()), lambda: good(cls)._replace(**{field: value})):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("cls", GOOD, ids=lambda c: c.__name__)
+def test_named_tuple_equal_to_its_fields(cls):
+    value = good(cls)
+    assert cls._fields == tuple(GOOD[cls])
+    assert value == tuple(GOOD[cls].values()) and value._asdict() == GOOD[cls]
+    assert cls._make(value) == value and value._replace() == value
+
+
+@pytest.mark.parametrize("cls", GOOD, ids=lambda c: c.__name__)
+def test_read_only(cls):
+    value = good(cls)
+    for field in (*cls._fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    assert not hasattr(value, "__dict__")
+    assert value == good(cls)
+
+
+@pytest.mark.parametrize("cls", GOOD, ids=lambda c: c.__name__)
+def test_pickle_round_trips(cls):
+    value = good(cls)
+    back = pickle.loads(pickle.dumps(value))
+    assert type(back) is cls and back == value
+
