@@ -59,7 +59,8 @@ def calibration_report(p: PValue, d: int = 1) -> CalibrationReport:
         )
     b = odds = cond = None
     if p.value < BF_BOUND_MAX_P:
-        b = -math.e * p.value * math.log(p.value)
+        ep = math.e * p.value  # subnormal below p ~ 8.2e-309, so there ln p takes e first
+        b = -ep * math.log(p.value) if ep >= 2.0**-1022 else p.value * (-math.e * math.log(p.value))
         odds = 1.0 / b
         cond = 1.0 / (1.0 + odds)
         if math.isinf(odds):  # b is subnormal below p ~ 1e-308; 1 / (1 + 1/b) would read 0

@@ -247,7 +247,12 @@ def pooled_homogeneity_test(studies: StudyTable, null_value: float = 0.0) -> Poo
     se_min = min(std_error)
     weights = [(se_min / se) ** 2 for se in std_error]
     total_w = math.fsum(weights)
-    pooled_estimate = math.fsum(w * e for w, e in zip(weights, estimate)) / total_w
+    try:
+        pooled_estimate = math.fsum(w * e for w, e in zip(weights, estimate)) / total_w
+    except OverflowError:  # the weighted sum passes the largest double; the mean does not
+        e_max = max(map(abs, estimate))
+        scaled = math.fsum(w * (e / e_max) for w, e in zip(weights, estimate))
+        pooled_estimate = scaled / total_w * e_max
     pooled_se = se_min / math.sqrt(total_w)
     z = (pooled_estimate - null_value) / pooled_se
     p_two_sided, log_p = _two_sided_tail(z)  # refuses a z whose square overflows

@@ -122,6 +122,7 @@ class TestSSummation:
             0.6969155399835635427499172458938962781758151554215, rel=1e-13, abs=0
         )
 
+    @pytest.mark.numpy
     def test_order_invariance(self):
         import numpy as np
         a = s_summation_test(p_studies(0.01, 0.2, 0.7))
@@ -141,6 +142,7 @@ class TestSSummation:
         with pytest.raises(SchemaError):
             s_summation_test(effect_studies((0.3, 0.1)))
 
+    @pytest.mark.numpy
     def test_noise_nat_accounting_monte_carlo(self):
         import numpy as np
         # Under uniform nulls: E[s_plus] = K, E[s_summary] = 1, so the mean
@@ -300,6 +302,7 @@ class TestCompareMethods:
         assert cmp_.pooled.z == 0.0
         assert cmp_.s_summation_nats > cmp_.pooled.s_summary.value
 
+    @pytest.mark.numpy
     def test_per_study_p_values_are_two_sided(self):
         import numpy as np
         cmp_ = compare_methods(effect_studies((0.3, 0.1), (0.3, 0.1)), 0.0)
@@ -315,6 +318,7 @@ class TestCompareMethods:
         as_p = p_studies(*(2 * normal_cdf(-abs(st.estimate / st.std_error)) for st in studies))
         assert cmp_.s_summation == s_summation_test(as_p)
 
+    @pytest.mark.numpy
     def test_order_invariance(self):
         import numpy as np
         rng = np.random.default_rng(98)

@@ -33,6 +33,7 @@ class TestPLower:
             0.05, abs=1e-9
         )
 
+    @pytest.mark.numpy
     def test_strictly_decreasing_in_mu1(self):
         import numpy as np
         spec = EstimateSpec(0.3, 0.7)
@@ -54,6 +55,7 @@ class TestSUpperComplement:
         s = curve_point(EstimateSpec(1.2, 0.5), 1.0, InfoUnit.NATS).s_le
         assert s.value == pytest.approx(1.0654340491895766, abs=1e-9)
 
+    @pytest.mark.numpy
     def test_grows_without_bound_as_mu1_decreases(self):
         import numpy as np
         spec = EstimateSpec(0.0, 1.0)
@@ -71,6 +73,7 @@ class TestSUpperComplement:
         assert point.p_le < 2.0 ** -1022
         assert point.s_le.value == pytest.approx(bits, rel=1e-15, abs=0)
 
+    @pytest.mark.numpy
     def test_tracks_p_ge(self):
         import numpy as np
         # the two quantities rise and fall together across any grid

@@ -60,6 +60,7 @@ def test_a_name_patched_in_its_home_module_is_what_the_package_returns(monkeypat
     assert svalue.surprisal is svalue.units.surprisal
 
 
+@pytest.mark.numpy
 def test_readme_library_example_runs():
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)

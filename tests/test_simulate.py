@@ -4,7 +4,6 @@ import math
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from svalue.simulate import (
@@ -21,6 +20,9 @@ from svalue.simulate import (
 )
 
 from oracles import binomial_tail_by_enumeration
+
+np = pytest.importorskip("numpy")
+pytestmark = pytest.mark.numpy
 
 LOG2E = 1.4426950408889634
 

@@ -83,6 +83,7 @@ class TestRegGammaUpper:
                     math.exp(-x) * acc, rel=1e-12, abs=0
                 )
 
+    @pytest.mark.numpy
     def test_decreasing_in_x(self):
         import numpy as np
         rng = np.random.default_rng(11)
@@ -226,12 +227,14 @@ class TestNormalCdf:
         # mpmath (40 digits): Phi(-1.96)
         assert normal_cdf(-1.96) == pytest.approx(0.024997895148220435, abs=1e-12)
 
+    @pytest.mark.numpy
     def test_complement_identity(self):
         import numpy as np
         rng = np.random.default_rng(3)
         for z in rng.uniform(-8.0, 8.0, size=200):
             assert normal_cdf(z) + normal_cdf(-z) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.numpy
     def test_monotone(self):
         import numpy as np
         # [-8, 8] keeps consecutive values representable as distinct doubles
@@ -274,6 +277,7 @@ class TestNormalQuantile:
         # abs=0: approx's default abs=1e-12 would pin z = 2.5e-7 to rel 4e-6 only.
         assert normal_quantile(q) == pytest.approx(float(z), rel=1e-14, abs=0)
 
+    @pytest.mark.numpy
     def test_round_trip_through_cdf(self):
         import numpy as np
         qs = np.concatenate(
@@ -293,6 +297,7 @@ class TestNormalQuantile:
         for z in (-8.0, -6.0, -2.5, -0.3, 0.0, 0.7, 3.1, 5.0):
             assert normal_quantile(normal_cdf(z)) == pytest.approx(z, abs=1e-9)
 
+    @pytest.mark.numpy
     def test_monotone(self):
         import numpy as np
         qs = np.sort(np.random.default_rng(9).uniform(1e-8, 1 - 1e-8, size=200))

@@ -70,6 +70,7 @@ class TestSurprisal:
             2.995732273553991, rel=1e-12, abs=0
         )
 
+    @pytest.mark.numpy
     def test_strictly_antitone(self):
         import numpy as np
         rng = np.random.default_rng(21)
@@ -78,6 +79,7 @@ class TestSurprisal:
             vals = [surprisal(PValue(float(p)), unit).value for p in ps]
             assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.numpy
     def test_product_rule(self):
         import numpy as np
         rng = np.random.default_rng(22)
@@ -90,6 +92,7 @@ class TestSurprisal:
                 ).value
                 assert joint == pytest.approx(split, rel=1e-10, abs=0)
 
+    @pytest.mark.numpy
     def test_cross_unit_consistency(self):
         import numpy as np
         rng = np.random.default_rng(23)
@@ -114,6 +117,7 @@ class TestConvert:
         s = SValue(2.5, InfoUnit.NATS)
         assert convert(s, InfoUnit.NATS) == s
 
+    @pytest.mark.numpy
     def test_round_trip_all_unit_pairs(self):
         import numpy as np
         rng = np.random.default_rng(24)
@@ -149,6 +153,7 @@ class TestFromSurprisal:
     def test_smallest_p_is_reached(self):
         assert from_surprisal(SValue(745.0, InfoUnit.NATS)).value == 5e-324
 
+    @pytest.mark.numpy
     def test_round_trip_identity(self):
         import numpy as np
         rng = np.random.default_rng(25)
