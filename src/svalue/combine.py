@@ -289,8 +289,12 @@ def compare_methods(studies: StudyTable, null_value: float = 0.0) -> MethodCompa
     """
     z_scores = _study_z_scores(studies, null_value, "compare_methods")
     pooled = pooled_homogeneity_test(studies, null_value)
-    # a list, so a study's own refusal by _two_sided_tail is not renamed by the statistic's
-    fisher = _s_summation(len(z_scores), [-2.0 * _two_sided_tail(z)[1] for z in z_scores])
+    try:
+        terms = [-2.0 * _two_sided_tail(z)[1] for z in z_scores]
+    except OverflowError as exc:
+        i = next(i for i, z in enumerate(z_scores) if math.isinf(z * z))
+        raise OverflowError(f"study {studies.ids[i]!r}: {exc}") from None
+    fisher = _s_summation(len(z_scores), terms)
     s_fisher = fisher.s_summary.value
     return MethodComparison(
         s_summation=fisher,

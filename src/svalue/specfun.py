@@ -8,14 +8,13 @@ kernel is implemented here and validated in the test suite against exact
 closed forms, brute-force quadrature and frozen mpmath values. It returns
 ln Q, so deep tails stay finite; a caller that wants Q itself takes its exp.
 The kernel follows the classic split: power series for x < a + 1, continued
-fraction (modified Lentz) otherwise. Both loops stop once a step no longer
-changes their result, and the continued fraction also once a step's factor is
-within an ulp of 1: for large x rounding alone can hold that factor an ulp off
-1 at every step. Near x = a they need about 9 sqrt(a) steps, so the
-iteration bound grows with sqrt(a). For large a the prefactor
-x^a e^-x / Gamma(a) is taken as a (ln(1 + t) - t) + ln(a / 2 pi) / 2 minus
-the Stirling remainder of ln Gamma(a), with t = x / a - 1, instead of from
-three terms of size a ln a that cancel.
+fraction (modified Lentz) otherwise. Both loops stop once a step's increment
+leaves their result unchanged; the continued fraction takes its factor less 1
+as its own quotient, which reaches 0 where rounding holds the factor an ulp off
+1 (large x). Near x = a the loops need about 9 sqrt(a) steps, so the iteration
+bound grows with sqrt(a). For large a the prefactor x^a e^-x / Gamma(a) is
+a (ln(1 + t) - t) + ln(a / 2 pi) / 2 less the Stirling remainder of ln Gamma(a),
+t = x / a - 1, not three terms of size a ln a that cancel.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ import math
 from typing import NamedTuple
 
 # Convergence policy: the series sum and the continued fraction's h are final once
-# a step leaves them unchanged, h also once a step's factor is within an ulp of 1;
-# both give up loudly after MAX_ITER + 10 sqrt(a) steps.
+# a step leaves them unchanged; both give up loudly after MAX_ITER + 10 sqrt(a) steps.
 MAX_ITER = 500
 
 _SQRT2 = math.sqrt(2.0)
@@ -109,21 +107,19 @@ def _upper_cf_factor(a: float, x: float, max_iter: int) -> float:
     for i in range(1, max_iter + 1):
         an = -i * (i - a)
         b += 2.0
-        d = an * d + b
+        ad = an * d
+        d = ad + b
         if abs(d) < tiny:
             d = tiny
-        c = b + an / c
+        q = an / c
+        c = b + q
         if abs(c) < tiny:
             c = tiny
         d = 1.0 / d
-        delta = d * c
-        h_next = h * delta
-        # h_next == h means the term fell below half an ulp of the sum. For large x
-        # (seen from x = 2.5e11, and mostly past 4.5e15) rounding can hold delta an ulp
-        # off 1 at every step, so h drifts and never repeats: a delta that close stops too.
-        if h_next == h or abs(delta - 1.0) <= 2.0 ** -52:
-            return h_next
-        h = h_next
+        # c d - 1 is (q - ad) d; so taken, it reaches 0 where rounding holds c d an ulp off 1
+        if h + h * ((q - ad) * d) == h:
+            return h
+        h *= c * d
     raise ConvergenceError(
         f"incomplete gamma continued fraction did not converge (a={a}, x={x})"
     )

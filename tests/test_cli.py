@@ -3,8 +3,6 @@
 import csv
 import json
 import math
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -458,6 +456,9 @@ class TestArithmeticErrors:
         ("pooled", "a,1e200,1\n", "the S-value at z = 1e+200 overflows"),
         ("compare", "a,1e200,1\n", "the S-value at z = 1e+200 overflows"),
         ("compare", "a,1.3e154,1\nb,-1.3e154,1\n", "the S-summation statistic 2 s_plus overflows"),
+        # the pooled z is 0; study a's own z^2 overflows
+        ("compare", "a,1.4e154,1\nb,-1.4e154,1\n",
+         "study 'a': the S-value at z = 1.4e+154 overflows"),
     ])
     @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     def test_overflowing_s_value(self, capsys, tmp_path, method, rows, message, fmt):
@@ -520,46 +521,6 @@ class TestUnitOption:
         assert "invalid choice: 'Bits'" in capsys.readouterr().err
 
 
-# Runs in a fresh interpreter, because this one has loaded svalue, and numpy too.
-NUMPY_FREE_SCRIPT = """
-import json, sys
-import svalue
-loaded = [m for m in sys.modules if m.startswith("svalue.")]
-assert not loaded, f"import svalue loaded {loaded}"
-assert "numpy" not in sys.modules, "import svalue loaded numpy"
-import svalue.cli
-assert "numpy" not in sys.modules, "import svalue.cli loaded numpy"
-assert "statistics" not in sys.modules, "import svalue.cli loaded statistics"
-sys.modules["numpy"] = None  # any later `import numpy` raises ModuleNotFoundError
-for argv in json.loads(sys.argv[1]):
-    code = svalue.cli.main(argv)
-    assert code == 0, (argv, code)
-try:
-    svalue.cli.main(["simulate", "--n", "10"])
-except ModuleNotFoundError:
-    pass
-else:
-    raise AssertionError("simulate ran without numpy; the block is not in effect")
-"""
-
-
-def test_non_simulate_subcommands_run_without_numpy(p_csv):
-    argvs = [
-        ["convert", "--p", "0.05"],
-        ["calibrate", "--p", "0.01"],
-        ["combine", "--input", p_csv, "--method", "s-sum"],
-        ["curve", "--estimate", "1.2", "--se", "0.5", "--from", "1.0", "--to", "1.4",
-         "--steps", "3"],
-    ]
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_FREE_SCRIPT, json.dumps(argvs)],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-
-
 # Exact stdout, stderr and exit code of every subcommand in every format.
 # The expected text in cli_golden.json is keyed "<case>/<format>"; "{name}"
 # arguments name the CSV inputs below, written to a temporary directory.
@@ -618,3 +579,10 @@ def test_golden_output(capsys, golden, golden_inputs, case, fmt):
     argv = [a.format(**golden_inputs) for a in GOLDEN_CASES[case]]
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert {"code": code, "out": out, "err": err} == golden[f"{case}/{fmt}"]
+
+
+def test_simulate_is_refused_where_numpy_is_blocked():
+    # tests/conftest.py blocks numpy here, so the golden cases above without the marker
+    # show that their subcommands run numpy-free; simulate needs numpy
+    with pytest.raises(ModuleNotFoundError):
+        main(["simulate", "--n", "10"])

@@ -99,12 +99,22 @@ def test_result_records_are_read_only_named_tuples(name):
             setattr(record, field, None)
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter, because this one has loaded both; -S, so that what a site hook
-    # imports is not counted
-    script = "import sys, svalue.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+# Run in a fresh interpreter, because this one has loaded svalue, numpy and the rest.
+# -S keeps what a site hook imports out of the count; site-packages goes on the path by
+# hand, so an `import numpy` inside a try would still load it.
+FRESH_IMPORT_SCRIPT = """
+import site, sys
+sys.path.extend(site.getsitepackages())
+import svalue
+print(sorted(m for m in sys.modules if m.startswith("svalue.")))
+import svalue.cli
+print(sorted({"numpy", "statistics", "dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+def test_import_is_lazy_and_the_cli_loads_no_heavy_module():
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-S", "-c", script],
+    proc = subprocess.run([sys.executable, "-S", "-c", FRESH_IMPORT_SCRIPT],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "[]\n[]\n"), proc.stderr

@@ -1,6 +1,7 @@
 """Special-function kernels against exact closed forms and quadrature."""
 
 import math
+import random
 import re
 
 import pytest
@@ -56,6 +57,17 @@ LOG_Q_HUGE_X = {
     (1e4, 1e300): -1.00000000000000005250476e300,
 }
 
+# ln Q(a, x) just past x = a + 1, where the continued fraction's first factors are
+# far from 1, so updating h by h + h (factor - 1) there loses digits (3.8e-12 at
+# a = 1e6): mpmath 1.3.0 at 90 digits (log of the upper gammainc), rounded to 30.
+LOG_Q_CF_START = {
+    (100.0, 101.0): -0.804964705538389347482342019227,
+    (1000.0, 1001.5): -0.740460833484264798232381823438,
+    (7305.0, 7309.11): -0.73548492038887682779679288678,
+    (50000.0, 50010.0): -0.730699924588464815036200178912,
+    (1000000.0, 1000002.0): -0.695010643579944110703756664823,
+}
+
 
 class TestRegGammaUpper:
     def test_at_zero(self):
@@ -92,6 +104,23 @@ class TestRegGammaUpper:
             vals = [math.exp(log_reg_gamma_upper(a, float(x))) for x in xs]
             assert all(u > v for u, v in zip(vals, vals[1:]))
 
+    def test_property_sweep(self):
+        # Over a in [0.5, 1e8] and x near a, within a factor 1e3 of a, and up to 1e300:
+        # ln Q is finite (no ConvergenceError), <= 0, decreasing in x and increasing in a.
+        # Past x >> a a step of 1e-6 in a moves ln Q by less than an ulp, so the
+        # monotonicity holds to 2 ulps.
+        rng = random.Random(22)
+        for k in range(1000):
+            a = math.exp(rng.uniform(math.log(0.5), math.log(1e8)))
+            strata = (a + 3.0 * math.sqrt(a) * rng.uniform(-1.0, 1.0),
+                      a * 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 300.0))
+            x = max(0.0, strata[k % 3])
+            log_q = log_reg_gamma_upper(a, x)
+            slack = 2.0 * math.ulp(log_q)
+            assert math.isfinite(log_q) and log_q <= 0.0, (a, x)
+            assert log_reg_gamma_upper(a, x * (1.0 + 1e-6)) <= log_q + slack, (a, x)
+            assert log_reg_gamma_upper(a * (1.0 + 1e-6), x) >= log_q - slack, (a, x)
+
     def test_limits(self):
         assert math.exp(log_reg_gamma_upper(3.0, 1e4)) < 1e-200
         assert math.exp(log_reg_gamma_upper(3.0, 1e-12)) == pytest.approx(1.0, abs=1e-10)
@@ -110,6 +139,10 @@ class TestRegGammaUpper:
     @pytest.mark.parametrize("a,x", sorted(LOG_Q_HUGE_X))
     def test_huge_x_matches_mpmath(self, a, x):
         assert log_reg_gamma_upper(a, x) == pytest.approx(LOG_Q_HUGE_X[(a, x)], rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("a,x", sorted(LOG_Q_CF_START))
+    def test_continued_fraction_start_matches_mpmath(self, a, x):
+        assert log_reg_gamma_upper(a, x) == pytest.approx(LOG_Q_CF_START[(a, x)], rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("x", [2.4e16, 2.0**54, 1e20, 1e300])
     def test_huge_x_exponential_case(self, x):
