@@ -581,8 +581,17 @@ def test_golden_output(capsys, golden, golden_inputs, case, fmt):
     assert {"code": code, "out": out, "err": err} == golden[f"{case}/{fmt}"]
 
 
-def test_simulate_is_refused_where_numpy_is_blocked():
-    # tests/conftest.py blocks numpy here, so the golden cases above without the marker
-    # show that their subcommands run numpy-free; simulate needs numpy
+def test_non_simulate_subcommands_run_without_numpy(p_csv):
+    # tests/conftest.py blocks numpy here, as it does for the golden cases above without
+    # the marker; simulate needs numpy, which shows the block is in effect
+    argvs = [
+        ["convert", "--p", "0.05"],
+        ["calibrate", "--p", "0.01"],
+        ["combine", "--input", p_csv, "--method", "s-sum"],
+        ["curve", "--estimate", "1.2", "--se", "0.5", "--from", "1.0", "--to", "1.4",
+         "--steps", "3"],
+    ]
+    for argv in argvs:
+        assert main(argv) == 0, argv
     with pytest.raises(ModuleNotFoundError):
         main(["simulate", "--n", "10"])

@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -103,18 +104,31 @@ def test_result_records_are_read_only_named_tuples(name):
 # -S keeps what a site hook imports out of the count; site-packages goes on the path by
 # hand, so an `import numpy` inside a try would still load it.
 FRESH_IMPORT_SCRIPT = """
-import site, sys
+import json, site, sys
 sys.path.extend(site.getsitepackages())
 import svalue
-print(sorted(m for m in sys.modules if m.startswith("svalue.")))
+submodules = sorted(m for m in sys.modules if m.startswith("svalue."))
 import svalue.cli
-print(sorted({"numpy", "statistics", "dataclasses", "inspect"} & set(sys.modules)))
+heavy = {"numpy", "statistics", "dataclasses", "inspect"}
+print(json.dumps({"submodules": submodules, "heavy": sorted(heavy & set(sys.modules))}))
 """
 
 
-def test_import_is_lazy_and_the_cli_loads_no_heavy_module():
+@pytest.fixture(scope="module")
+def fresh_import():
+    """What `import svalue`, then `import svalue.cli`, load in one -S child."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-S", "-c", FRESH_IMPORT_SCRIPT],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout) == (0, "[]\n[]\n"), proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_is_lazy_and_the_cli_loads_no_heavy_module(fresh_import):
+    assert fresh_import["submodules"] == []
+    assert [m for m in fresh_import["heavy"] if m in ("numpy", "statistics")] == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect(fresh_import):
+    assert [m for m in fresh_import["heavy"] if m in ("dataclasses", "inspect")] == []
