@@ -71,14 +71,4 @@ def calibration_report(p: PValue, d: int = 1) -> CalibrationReport:
             f"Bayes-factor fields omitted: the bound -e*p*ln(p) requires p < 1/e "
             f"= {BF_BOUND_MAX_P:.4f} (got p = {p.value})"
         )
-    return CalibrationReport(
-        p=p.value,
-        df_d=d,
-        mlr=mlr,
-        deviance=deviance,
-        aic_delta=aic_delta,
-        bf_lower_bound=b,
-        odds_increase_bound=odds,
-        conditional_type1=cond,
-        notes=tuple(notes),
-    )
+    return CalibrationReport(p.value, d, mlr, deviance, aic_delta, b, odds, cond, tuple(notes))

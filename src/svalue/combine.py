@@ -41,9 +41,9 @@ class SchemaError(ValueError):
 
 def _check_effect(id: str, estimate: float, std_error: float) -> None:
     """The one check of an effect-form study's estimate and std error."""
-    if math.isnan(estimate) or math.isinf(estimate):
+    if not math.isfinite(estimate):
         raise ValueError(f"study {id!r} estimate must be finite")
-    if not (std_error > 0.0) or math.isinf(std_error):
+    if not 0.0 < std_error < math.inf:
         raise ValueError(f"study {id!r} std_error must be a positive finite number")
 
 
@@ -220,7 +220,7 @@ def z_squared_test(z_scores: list[float]) -> ZSquaredReport:
     if not z_scores:
         raise ValueError("z_squared_test requires at least one z-score")
     for z in z_scores:
-        if math.isnan(z) or math.isinf(z):
+        if not math.isfinite(z):
             raise ValueError(f"z-scores must be finite, got {z!r}")
     k = len(z_scores)
     statistic, p_summary, s_summary = _summary_from_chisq(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .specfun import _checked_make, _two_sided_tail, normal_cdf
+from .specfun import _SQRT2, _checked_make, _two_sided_tail
 from .units import InfoUnit, SValue
 
 
@@ -23,9 +23,9 @@ class EstimateSpec(NamedTuple("EstimateSpec", [("estimate", float), ("std_error"
     _make = classmethod(_checked_make)
 
     def __new__(cls, estimate: float, std_error: float) -> EstimateSpec:
-        if math.isnan(estimate) or math.isinf(estimate):
+        if not math.isfinite(estimate):
             raise ValueError(f"estimate must be finite, got {estimate!r}")
-        if not (std_error > 0.0) or math.isinf(std_error):
+        if not 0.0 < std_error < math.inf:
             raise ValueError(f"std_error must be positive and finite, got {std_error!r}")
         return tuple.__new__(cls, (estimate, std_error))
 
@@ -48,12 +48,15 @@ def _point(estimate: float, std_error: float, mu1: float, k: float, unit: InfoUn
     """curve_point at mu1, with k = unit.nats_per_unit."""
     t = (estimate - mu1) / std_error
     p_two, log_p_two = _two_sided_tail(t)  # 2 Phi(-|t|); its log stays finite where it underflows
-    p_near = normal_cdf(abs(t))  # the one-sided P on the estimate's side, >= 1/2
+    p_near = 0.5 * math.erfc(-abs(t) / _SQRT2)  # Phi(|t|): the one-sided P on the estimate's side
     p_ge, p_le = (p_near, 0.5 * p_two) if t >= 0.0 else (0.5 * p_two, p_near)
     # p_le below 2^-1022 is p_two / 2, so its log is the kernel's log of p_two less ln 2
     log_p_le = math.log(p_le) if p_le >= 2.0 ** -1022 else log_p_two - math.log(2.0)
-    return CurvePoint(mu1, p_ge, p_le, SValue(-log_p_le / k, unit), p_two,
-                      SValue(-log_p_two / k, unit))
+    # Both logs are of a P <= 1, so each S = -ln P / k is a float >= 0 (+ 0.0 turns -0.0
+    # into 0.0) and passes SValue's checks by construction: build the tuples directly.
+    return tuple.__new__(CurvePoint, (
+        mu1, p_ge, p_le, tuple.__new__(SValue, (-log_p_le / k + 0.0, unit)),
+        p_two, tuple.__new__(SValue, (-log_p_two / k + 0.0, unit))))
 
 
 def curve(

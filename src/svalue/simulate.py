@@ -96,7 +96,7 @@ def _check_alphas(alphas: Sequence[float]) -> list[float]:
     out = []
     for a in alphas:
         a = float(a)
-        if math.isnan(a) or not (0.0 < a < 1.0):
+        if not 0.0 < a < 1.0:
             raise ValueError(f"alpha levels must lie in (0, 1), got {a!r}")
         if a not in out:
             out.append(a)
@@ -168,7 +168,7 @@ def binomial_upper_tail_pvalues(trials: int, theta0: float) -> list[float]:
     """
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if math.isnan(theta0) or not (0.0 < theta0 < 1.0):
+    if not 0.0 < theta0 < 1.0:
         raise ValueError(f"theta0 must lie in (0, 1), got {theta0!r}")
     pmf = []
     c = 1  # comb(trials, x), by the exact integer recurrence

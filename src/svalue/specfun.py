@@ -127,9 +127,9 @@ def _upper_cf_factor(a: float, x: float, max_iter: int) -> float:
 
 def log_reg_gamma_upper(a: float, x: float) -> float:
     """ln Q(a, x), Q(a, x) = Gamma(a, x) / Gamma(a), finite however deep the tail."""
-    if not (a > 0.0) or math.isnan(a) or math.isinf(a):
+    if not 0.0 < a < math.inf:
         raise ValueError(f"shape parameter must be > 0, got {a!r}")
-    if not (x >= 0.0) or math.isnan(x):
+    if not x >= 0.0:
         raise ValueError(f"argument must be >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
@@ -146,7 +146,7 @@ def log_reg_gamma_upper(a: float, x: float) -> float:
 
 def log_chisq_survival(dist: ChiSquare, x: float) -> float:
     """ln Pr(X > x) for X ~ chi-squared with dist.df degrees of freedom."""
-    if not (x >= 0.0) or math.isnan(x):
+    if not x >= 0.0:
         raise ValueError(f"chi-squared statistic must be >= 0, got {x!r}")
     return log_reg_gamma_upper(dist.df / 2.0, x / 2.0)
 
@@ -185,6 +185,6 @@ def normal_quantile(q: float) -> float:
     (1988) 477-484), a few ulps from exact on all of (0, 1), subnormal q
     included. `statistics` is imported on the first call.
     """
-    if math.isnan(q) or not (0.0 < q < 1.0):
+    if not 0.0 < q < 1.0:
         raise ValueError(f"normal_quantile requires 0 < q < 1, got {q!r}")
     return _standard_normal().inv_cdf(q)

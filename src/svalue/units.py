@@ -11,22 +11,20 @@ from .specfun import _checked_make, normal_quantile
 
 
 class InfoUnit(enum.Enum):
-    """Information unit fixed by the log base: 2 -> bits, e -> nats, 10 -> dits."""
+    """Information unit fixed by the log base: 2 -> bits, e -> nats, 10 -> dits.
 
-    BITS = "bits"
-    NATS = "nats"
-    DITS = "dits"
+    The value is the unit's name; `nats_per_unit`, the natural log of the base, is a
+    plain member attribute set when the member is made, so reading it is one lookup.
+    """
 
-    @property
-    def nats_per_unit(self) -> float:
-        return _NATS_PER_UNIT[self]
+    BITS = "bits", math.log(2.0)
+    NATS = "nats", 1.0
+    DITS = "dits", math.log(10.0)
 
-
-_NATS_PER_UNIT = {
-    InfoUnit.BITS: math.log(2.0),
-    InfoUnit.NATS: 1.0,
-    InfoUnit.DITS: math.log(10.0),
-}
+    def __new__(cls, value: str, nats_per_unit: float) -> InfoUnit:
+        unit = object.__new__(cls)
+        unit._value_, unit.nats_per_unit = value, nats_per_unit
+        return unit
 
 
 class PValue(NamedTuple("PValue", [("value", float)])):
@@ -47,7 +45,7 @@ class PValue(NamedTuple("PValue", [("value", float)])):
 
 def _check_p(v: float) -> float:
     """v itself if it lies in (0, 1]; the one P-value range check."""
-    if math.isnan(v) or not (0.0 < v <= 1.0):
+    if not 0.0 < v <= 1.0:  # NaN fails it too
         raise ValueError(f"P-value must lie in the half-open interval (0, 1], got {v!r}")
     return v
 

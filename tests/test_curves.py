@@ -1,11 +1,12 @@
 """P-/S-value curve tests: worked points, complement and symmetry identities."""
 
 import math
+import random
 
 import pytest
 
 from svalue.curves import CurvePoint, EstimateSpec, curve, curve_point
-from svalue.units import InfoUnit
+from svalue.units import InfoUnit, SValue
 
 
 class TestEstimateSpec:
@@ -148,3 +149,23 @@ class TestCurve:
     def test_rows_are_curve_points(self):
         pts = curve(EstimateSpec(0.0, 1.0), -1.0, 1.0, 3)
         assert all(isinstance(pt, CurvePoint) for pt in pts)
+
+    @pytest.mark.parametrize("unit", list(InfoUnit), ids=lambda u: u.value)
+    def test_unchecked_points_equal_checked_ones(self, unit):
+        # curve points skip SValue's checks; each must be what the checking constructors build
+        rng = random.Random(23)
+        for _ in range(20):
+            spec = EstimateSpec(rng.uniform(-10.0, 10.0), 10.0 ** rng.uniform(-3.0, 3.0))
+            reach = spec.std_error * rng.uniform(39.0, 60.0)  # past |t| = 38, where Phi(-|t|) underflows
+            pts = curve(spec, spec.estimate - reach, spec.estimate + reach * rng.random(), 301, unit)
+            pts.append(curve_point(spec, spec.estimate, unit))
+            for pt in pts:
+                checked = CurvePoint(pt.mu1, pt.p_ge, pt.p_le, SValue(pt.s_le.value, unit),
+                                     pt.p_two, SValue(pt.s_two.value, unit))
+                assert repr(pt) == repr(checked)
+                assert type(pt) is CurvePoint
+                for s in (pt.s_le, pt.s_two):
+                    assert type(s) is SValue and s.unit is unit and math.isfinite(s.value)
+            assert abs(pts[0].mu1 - spec.estimate) / spec.std_error > 38.0
+            s_two = pts[-1].s_two.value
+            assert pts[-1].p_two == 1.0 and s_two == 0.0 and math.copysign(1.0, s_two) == 1.0

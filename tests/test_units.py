@@ -1,6 +1,7 @@
 """P-value/S-value types, unit conversions, and the gauge translations."""
 
 import math
+import pickle
 
 import pytest
 
@@ -16,6 +17,15 @@ from svalue.units import (
 )
 
 ALL_UNITS = (InfoUnit.BITS, InfoUnit.NATS, InfoUnit.DITS)
+
+
+class TestInfoUnit:
+    def test_scales_are_exact_through_pickle_and_lookup(self):
+        scales = {InfoUnit.BITS: math.log(2.0), InfoUnit.NATS: 1.0, InfoUnit.DITS: math.log(10.0)}
+        assert [u.value for u in InfoUnit] == ["bits", "nats", "dits"]
+        for unit, k in scales.items():
+            for u in (unit, pickle.loads(pickle.dumps(unit)), InfoUnit(unit.value)):
+                assert u is unit and u.nats_per_unit.hex() == k.hex()
 
 
 class TestPValue:
@@ -111,7 +121,7 @@ class TestConvert:
 
     def test_dit_to_bits_is_log2_of_ten(self):
         got = convert(SValue(1.0, InfoUnit.DITS), InfoUnit.BITS)
-        assert got.value == pytest.approx(math.log2(10.0), abs=1e-12)
+        assert got.value == pytest.approx(math.log2(10.0), rel=2.5e-16, abs=0)
 
     def test_identity_conversion(self):
         s = SValue(2.5, InfoUnit.NATS)
