@@ -2,10 +2,10 @@
 
 Output goes to stdout, diagnostics to stderr. Exit codes: 0 success, 1 I/O
 failure, 2 usage or domain error. Records are printed as the library returns
-them: a value it cannot give is None there (with a note), and an S-value that
-would overflow is refused with an OverflowError, which exits 2. JSON output is
-strict (no NaN/Infinity literals) with full-precision numbers; tables round to
-4 significant figures.
+them: a value it cannot give is None with a note (at the end of JSON, on stderr
+for CSV and tables), and an S-value that would overflow is refused with an
+OverflowError, which exits 2. JSON is strict (no NaN/Infinity literals) with
+full-precision numbers; tables round to 4 significant figures.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from .combine import (
     z_squared_test,
 )
 from .curves import EstimateSpec, curve
-from .simulate import LOW_N, RngSpec, simulate_exact_binomial, simulate_uniform_p
+from .simulate import RngSpec, simulate_exact_binomial, simulate_uniform_p
 from .units import (
     InfoUnit,
     PValue,
     SValue,
-    coin_toss_gauge,
     convert,
     from_surprisal,
     surprisal,
@@ -64,8 +63,8 @@ def _emit(payload: dict | list[dict], fmt: str) -> None:
     """Write one record (a dict) or a table of rows (a list of dicts) to stdout.
 
     JSON records always end in a notes list; CSV and tables flatten nested
-    records to dotted keys. CSV drops the notes and the unit column of rows;
-    tables round and send notes to stderr.
+    records to dotted keys and send notes to stderr. CSV drops the unit column
+    of rows; tables round.
     """
     if fmt == "json":
         if isinstance(payload, dict):
@@ -79,10 +78,10 @@ def _emit(payload: dict | list[dict], fmt: str) -> None:
         writer = csv.writer(sys.stdout, **CSV_DIALECT)
         writer.writerow(header)
         writer.writerows([row[k] for k in header] for row in rows)
-        return
-    width = max(map(len, rows[0]))
-    for k, v in rows[0].items():
-        print(f"{k.ljust(width)}  {_fmt_table(v)}")
+    else:
+        width = max(map(len, rows[0]))
+        for k, v in rows[0].items():
+            print(f"{k.ljust(width)}  {_fmt_table(v)}")
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
 
@@ -114,7 +113,7 @@ def cmd_convert(args: argparse.Namespace) -> dict:
         p = from_surprisal(s)
     payload: dict[str, Any] = {"p": p.value}
     payload.update({f"s_{u.value}": convert(s, u).value for u in InfoUnit})
-    payload["coin_tosses"] = coin_toss_gauge(p)
+    payload["coin_tosses"] = round(payload["s_bits"])  # the gauge of the S printed beside it
     if p.value == 1.0:
         payload["sigma"] = None
         payload["notes"] = ["sigma is undefined at p = 1 (the one-sided cutoff is -infinity)"]
@@ -169,10 +168,6 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
                "stream": args.stream, **record}
     if args.generator == "binomial":
         payload.update(trials=args.trials, theta0=args.theta0)
-    if summary.low_n:
-        payload["notes"] = [f"n = {summary.n} is below {LOW_N}; summary statistics are unreliable"]
-    if summary.se_of_mean is None:  # n = 1, which is also below LOW_N
-        payload["notes"].append("se_of_mean is undefined at n = 1")
     return payload
 
 

@@ -72,6 +72,7 @@ class SimulationSummary(NamedTuple):
     empirical_type1: dict[float, float]  # alpha -> rejection rate
     dominance_violations: int  # alphas with rate > alpha + 3 binomial SEs
     low_n: bool
+    notes: tuple[str, ...] = ()
 
 
 class EValueCheck(NamedTuple):
@@ -81,6 +82,7 @@ class EValueCheck(NamedTuple):
     se_of_mean: float | None  # None when n = 1
     passed: bool  # mean - 3 SE does not exceed 1
     low_n: bool
+    notes: tuple[str, ...] = ()
 
 
 class DistributionReport(NamedTuple):
@@ -124,6 +126,9 @@ def _pool(groups: list[tuple], alphas: list[float]) -> SimulationSummary:
     devs = [m - mean_nats for m in means]
     m2 = math.fsum(m2s) + math.fsum(k * (d * d) for k, d in zip(counts, devs))
     se = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else None
+    notes = [f"n = {n} is below {LOW_N}; summary statistics are unreliable"] if n < LOW_N else []
+    if se is None:  # n = 1, which is also below LOW_N
+        notes.append("se_of_mean is undefined at n = 1")
     rates: dict[float, float] = {}
     violations = 0
     for a, h in zip(alphas, map(sum, zip(*hits))):
@@ -139,6 +144,7 @@ def _pool(groups: list[tuple], alphas: list[float]) -> SimulationSummary:
         empirical_type1=rates,
         dominance_violations=violations,
         low_n=n < LOW_N,
+        notes=tuple(notes),
     )
 
 
@@ -170,17 +176,13 @@ def binomial_upper_tail_pvalues(trials: int, theta0: float) -> list[float]:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     if not 0.0 < theta0 < 1.0:
         raise ValueError(f"theta0 must lie in (0, 1), got {theta0!r}")
-    pmf = []
-    c = 1  # comb(trials, x), by the exact integer recurrence
-    for x in range(trials + 1):
-        pmf.append(c * theta0**x * (1.0 - theta0) ** (trials - x))
-        c = c * (trials - x) // (x + 1)
-    tails = [0.0] * (trials + 1)
+    tails = [1.0] * (trials + 1)
     acc = 0.0
+    c = 1  # comb(trials, x) from x = trials down, by the exact integer recurrence
     for x in range(trials, 0, -1):
-        acc += pmf[x]
+        acc += c * theta0**x * (1.0 - theta0) ** (trials - x)
         tails[x] = min(acc, 1.0)
-    tails[0] = 1.0
+        c = c * x // (trials - x + 1)
     return tails
 
 
@@ -257,6 +259,7 @@ def evalue_check(
         se_of_mean=se,
         passed=mean - margin <= 1.0,
         low_n=summary.low_n,
+        notes=summary.notes,
     )
 
 

@@ -61,8 +61,7 @@ class SValue(NamedTuple("SValue", [("value", float), ("unit", InfoUnit)])):
     _make = classmethod(_checked_make)
 
     def __new__(cls, value: float, unit: InfoUnit) -> SValue:
-        if type(value) is not float and (  # a float passes at once: a curve makes two per point
-                isinstance(value, bool) or not isinstance(value, (int, float))):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"S-value must be a real number, got {value!r}")
         if not value >= 0.0:  # negative or NaN
             raise ValueError(f"S-value must be >= 0, got {value!r}")

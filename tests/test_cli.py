@@ -44,6 +44,19 @@ class TestConvert:
         assert payload["sigma"] is None
         assert payload["notes"]
 
+    @pytest.mark.parametrize("argv", [
+        ["--p", "0.05"], ["--p", "1"], ["--p", "2.2e-308"], ["--p", "5e-324"],
+        ["--s", "2.5", "--from-unit", "bits"], ["--s", "1.0", "--from-unit", "dits"],
+        *(["--s", str(s), "--from-unit", "nats"] for s in range(700, 746, 5)),
+    ], ids="_".join)
+    def test_coin_tosses_are_the_printed_s_in_bits_rounded(self, capsys, argv):
+        code, out, _ = run(capsys, "convert", *argv, "--format", "json")
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["coin_tosses"] == round(payload["s_bits"])
+        if argv[1] == "745":  # 1074.81 bits, where the rounded P, 5e-324, gives 1074
+            assert payload["coin_tosses"] == 1075
+
     def test_p_zero_is_domain_error(self, capsys):
         code, _, err = run(capsys, "convert", "--p", "0")
         assert code == 2

@@ -82,8 +82,9 @@ RECORD_FIELDS = {
     "MethodComparison": ("s_summation", "pooled", "s_summation_nats", "difference_nats"),
     "CurvePoint": ("mu1", "p_ge", "p_le", "s_le", "p_two", "s_two"),
     "SimulationSummary": ("n", "mean_s_nats", "mean_s_bits", "se_of_mean", "empirical_type1",
-                          "dominance_violations", "low_n"),
-    "EValueCheck": ("n", "generator", "mean_e_condition", "se_of_mean", "passed", "low_n"),
+                          "dominance_violations", "low_n", "notes"),
+    "EValueCheck": ("n", "generator", "mean_e_condition", "se_of_mean", "passed", "low_n",
+                    "notes"),
     "DistributionReport": ("n", "reference", "ks_statistic", "critical_value", "passed"),
 }
 

@@ -8,6 +8,7 @@ import pytest
 
 from svalue.simulate import (
     CHUNK,
+    LOW_N,
     RngSpec,
     _chunk_group,
     _pool,
@@ -121,6 +122,18 @@ class TestPooling:
         for _ in range(20):
             shuffler.shuffle(groups)
             assert _pool(groups, alphas) == want
+
+    @pytest.mark.parametrize("n, notes", [
+        (1, (f"n = 1 is below {LOW_N}; summary statistics are unreliable",
+             "se_of_mean is undefined at n = 1")),
+        (LOW_N - 1, (f"n = {LOW_N - 1} is below {LOW_N}; summary statistics are unreliable",)),
+        (LOW_N, ()),
+    ])
+    def test_records_carry_the_low_n_notes(self, n, notes):
+        assert simulate_uniform_p(n, RngSpec(0), [0.5]).notes == notes
+        assert simulate_exact_binomial(n, 10, 0.5, RngSpec(0), [0.5]).notes == notes
+        assert evalue_check(n, RngSpec(0), "uniform").notes == notes
+        assert evalue_check(n, RngSpec(0), "binomial", 10, 0.5).notes == notes
 
 
 class TestBinomialTails:
