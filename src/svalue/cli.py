@@ -6,36 +6,19 @@ them: a value it cannot give is None with a note (at the end of JSON, on stderr
 for CSV and tables), and an S-value that would overflow is refused with an
 OverflowError, which exits 2. JSON is strict (no NaN/Infinity literals) with
 full-precision numbers; tables round to 4 significant figures.
+
+A call loads only what it runs: `import svalue.cli` loads `units` and the `specfun`
+it imports alone, each subcommand imports its own library module, and an output
+format its own writer (`json` or `csv`).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from typing import Any
 
-from .calibrate import calibration_report
-from .combine import (
-    _study_z_scores,
-    compare_methods,
-    pooled_homogeneity_test,
-    s_summation_test,
-    studies_from_csv,
-    z_squared_test,
-)
-from .curves import EstimateSpec, curve
-from .simulate import RngSpec, simulate_exact_binomial, simulate_uniform_p
-from .units import (
-    InfoUnit,
-    PValue,
-    SValue,
-    convert,
-    from_surprisal,
-    surprisal,
-    two_sided_to_sigma,
-)
+from .units import InfoUnit, SValue
 
 CSV_DIALECT = {"delimiter": ",", "lineterminator": "\n"}
 
@@ -67,6 +50,7 @@ def _emit(payload: dict | list[dict], fmt: str) -> None:
     of rows; tables round.
     """
     if fmt == "json":
+        import json
         if isinstance(payload, dict):
             payload["notes"] = list(payload.pop("notes", ()))
         print(json.dumps(payload, allow_nan=False))
@@ -74,6 +58,7 @@ def _emit(payload: dict | list[dict], fmt: str) -> None:
     rows = [_flatten(r) for r in (payload if isinstance(payload, list) else [payload])]
     notes = rows[0].pop("notes", ())
     if fmt == "csv":
+        import csv
         header = [k for k in rows[0] if k != "unit"]
         writer = csv.writer(sys.stdout, **CSV_DIALECT)
         writer.writerow(header)
@@ -103,6 +88,7 @@ def _rename(record: dict, old: str, new: str) -> dict:
 
 
 def cmd_convert(args: argparse.Namespace) -> dict:
+    from .units import PValue, convert, from_surprisal, surprisal, two_sided_to_sigma
     if (args.p is None) == (args.s is None):
         raise ValueError("give exactly one of --p or --s (with --from-unit)")
     if args.p is not None:
@@ -123,6 +109,8 @@ def cmd_convert(args: argparse.Namespace) -> dict:
 
 
 def cmd_combine(args: argparse.Namespace) -> dict:
+    from .combine import (_study_z_scores, compare_methods, pooled_homogeneity_test,
+                          s_summation_test, studies_from_csv, z_squared_test)
     studies = studies_from_csv(args.input)
     method = args.method
     if method == "s-sum":
@@ -145,16 +133,20 @@ def cmd_combine(args: argparse.Namespace) -> dict:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> dict:
+    from .calibrate import calibration_report
+    from .units import PValue
     return _rename(_record(calibration_report(PValue(args.p), args.d)), "df_d", "d")
 
 
 def cmd_curve(args: argparse.Namespace) -> list[dict]:
+    from .curves import EstimateSpec, curve
     unit = InfoUnit(args.unit)
     points = curve(EstimateSpec(args.estimate, args.se), args.from_, args.to, args.steps, unit)
     return [{**_record(pt, unit_suffix=False), "unit": unit.value} for pt in points]
 
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
+    from .simulate import RngSpec, simulate_exact_binomial, simulate_uniform_p
     alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
     rng = RngSpec(args.seed, args.stream)
     if not (args.trials is not None) == (args.theta0 is not None) == (args.generator == "binomial"):

@@ -72,12 +72,16 @@ class SValue(NamedTuple("SValue", [("value", float), ("unit", InfoUnit)])):
 
 def surprisal(p: PValue, unit: InfoUnit = InfoUnit.BITS) -> SValue:
     """Surprisal -log_base(p) in the requested unit; 0 at p = 1."""
-    return SValue(-math.log(p.value) / unit.nats_per_unit, unit)
+    # p is in (0, 1], so -ln p / k is a float >= 0 (+ 0.0 turns -0.0 into 0.0) and
+    # passes SValue's checks by construction: build the tuple directly.
+    return tuple.__new__(SValue, (-math.log(p.value) / unit.nats_per_unit + 0.0, unit))
 
 
 def convert(s: SValue, target: InfoUnit) -> SValue:
     """Rescale a surprisal to another unit."""
-    return SValue(s.value * (s.unit.nats_per_unit / target.nats_per_unit), target)
+    # s.value >= 0 times a positive ratio is >= 0 (or +inf), so it passes SValue's checks
+    value = s.value * (s.unit.nats_per_unit / target.nats_per_unit)
+    return tuple.__new__(SValue, (value + 0.0, target))
 
 
 def from_surprisal(s: SValue) -> PValue:

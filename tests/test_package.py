@@ -1,5 +1,7 @@
-"""The package surface: `svalue.__all__`, lazy name lookup and submodule access."""
+"""The package surface: `svalue.__all__`, lazy name lookup, submodule access, and what
+`import svalue.cli` and each CLI call load."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -110,26 +112,73 @@ sys.path.extend(site.getsitepackages())
 import svalue
 submodules = sorted(m for m in sys.modules if m.startswith("svalue."))
 import svalue.cli
+cli_submodules = sorted(m for m in sys.modules if m.startswith("svalue."))
 heavy = {"numpy", "statistics", "dataclasses", "inspect"}
-print(json.dumps({"submodules": submodules, "heavy": sorted(heavy & set(sys.modules))}))
+print(json.dumps({"submodules": submodules, "cli_submodules": cli_submodules,
+                  "heavy": sorted(heavy & set(sys.modules))}))
 """
+
+
+def run_fresh(script: str, *args: str) -> str:
+    """The stdout of `script` run with `args` in a fresh -S interpreter on this src."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", script, *args],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture(scope="module")
 def fresh_import():
     """What `import svalue`, then `import svalue.cli`, load in one -S child."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-S", "-c", FRESH_IMPORT_SCRIPT],
-                          env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return json.loads(run_fresh(FRESH_IMPORT_SCRIPT))
 
 
 def test_import_is_lazy_and_the_cli_loads_no_heavy_module(fresh_import):
     assert fresh_import["submodules"] == []
+    assert fresh_import["cli_submodules"] == ["svalue.cli", "svalue.specfun", "svalue.units"]
     assert [m for m in fresh_import["heavy"] if m in ("numpy", "statistics")] == []
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect(fresh_import):
     assert [m for m in fresh_import["heavy"] if m in ("dataclasses", "inspect")] == []
+
+
+# One CLI call in a fresh -S interpreter. It reports what the call loaded, from an
+# interpreter that has loaded neither json nor csv before main runs.
+CLI_CALL_SCRIPT = """
+import io, site, sys
+sys.path.extend(site.getsitepackages())
+from svalue.cli import main
+sys.stdout, out = io.StringIO(), sys.stdout
+code = main(sys.argv[1:])
+sys.stdout = out
+print(repr((code, sorted(m for m in sys.modules if m.startswith("svalue.")),
+            "json" in sys.modules, "csv" in sys.modules)))
+"""
+
+CLI_CALLS = [  # argv and its own library module
+    pytest.param(["convert", "--p", "0.05"], "units", id="convert"),
+    pytest.param(["calibrate", "--p", "0.05", "--d", "2"], "calibrate", id="calibrate"),
+    pytest.param(["curve", "--estimate", "1", "--se", "0.5", "--from", "0", "--to", "2",
+                  "--steps", "5"], "curves", id="curve"),
+    pytest.param(["combine", "--input", "{csv}", "--method", "compare"], "combine", id="combine"),
+    pytest.param(["simulate", "--n", "1000", "--seed", "1"], "simulate", id="simulate",
+                 marks=pytest.mark.numpy),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("argv, home", CLI_CALLS)
+def test_a_cli_call_loads_only_its_own_module_and_writer(tmp_path, argv, home, fmt):
+    study_csv = tmp_path / "studies.csv"
+    study_csv.write_text("id,estimate,std_error\na,1.0,0.5\nb,0.3,0.4\n", encoding="utf-8")
+    argv = [a.replace("{csv}", str(study_csv)) for a in argv] + ["--format", fmt]
+    code, loaded, json_loaded, csv_loaded = ast.literal_eval(run_fresh(CLI_CALL_SCRIPT, *argv))
+    assert code == 0
+    assert loaded == sorted({"svalue.cli", "svalue.specfun", "svalue.units", f"svalue.{home}"})
+    # as main does: simulate always prints JSON, and a curve prints its table as CSV
+    printed = {"simulate": "json", "curves": fmt.replace("table", "csv")}.get(home, fmt)
+    assert json_loaded == (printed == "json")
+    assert csv_loaded == (printed == "csv" or home == "combine")

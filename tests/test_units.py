@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import random
 
 import pytest
 
@@ -137,6 +138,29 @@ class TestConvert:
                     back = convert(convert(SValue(float(v), u), w), u)
                     assert back.unit is u
                     assert back.value == pytest.approx(float(v), rel=1e-12, abs=1e-15)
+
+
+def test_unchecked_results_equal_checked_ones():
+    # surprisal and convert skip SValue's checks; each result must be what SValue builds
+    rng = random.Random(25)
+    ps = [1.0, 5e-324, 2.0 ** -1022, 1.0 - 2.0 ** -53]
+    ps += [rng.randrange(1, 2 ** 52) * 5e-324 for _ in range(50)]  # subnormal
+    ps += [10.0 ** -rng.uniform(0.0, 308.0) for _ in range(200)]
+    for p in ps:
+        for u in ALL_UNITS:
+            s = surprisal(PValue(p), u)
+            checked = [(s, SValue(s.value, u))]
+            for w in ALL_UNITS:
+                t = convert(s, w)
+                checked.append((t, SValue(t.value, w)))
+            for got, want in checked:
+                assert type(got) is SValue and repr(got) == repr(want)
+                assert math.copysign(1.0, got.value) == 1.0
+    for v in (0.0, 1e308, math.inf):
+        for u in ALL_UNITS:
+            for w in ALL_UNITS:
+                t = convert(SValue(v, u), w)
+                assert type(t) is SValue and repr(t) == repr(SValue(t.value, w))
 
 
 class TestFromSurprisal:
