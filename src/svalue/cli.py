@@ -1,9 +1,9 @@
 """Command-line front end: convert, combine, calibrate, curve, simulate.
 
-Output goes to stdout, diagnostics to stderr. Exit codes: 0 success, 1 I/O
-failure, 2 usage or domain error. Records are printed as the library returns
-them: a value it cannot give is None with a note (at the end of JSON, on stderr
-for CSV and tables), and an S-value that would overflow is refused with an
+Output goes to stdout, diagnostics to stderr. Exit codes: 0 success, 1 I/O failure, 2
+usage or domain error or numpy missing for `simulate`. Records are printed as the
+library returns them: a value it cannot give is None with a note (at the end of JSON,
+on stderr for CSV and tables), and an S-value that would overflow is refused with an
 OverflowError, which exits 2. JSON is strict (no NaN/Infinity literals) with
 full-precision numbers; tables round to 4 significant figures.
 
@@ -229,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         fmt = "csv"  # a curve is a grid of rows; its table form is CSV
     try:
         _emit(args.func(args), fmt)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, ModuleNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

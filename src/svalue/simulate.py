@@ -8,30 +8,36 @@ surprisal reads as minimum information. This module checks all of that by
 simulation, plus the e-value condition E[-ln P] <= 1 and a one-sample
 Kolmogorov-Smirnov fit report.
 
-numpy is imported on first use, by the functions that draw or sort samples,
-so `import svalue` and the CLI's other subcommands never load it.
+numpy is imported on first use, by `_numpy` alone, so `import svalue` and the
+CLI's other subcommands never load it; without numpy, the error reads
+"simulate needs numpy".
 
 No path holds n draws. Each generator hands over groups of P-values, each
 with its count k, the sum S and mean m of -ln P, M2 (the sum of squared
 deviations from m) and its hits at each alpha. One pooling step reports them:
 n = sum k, mean = fsum(S) / n and M2 = fsum(M2) + fsum(k (m - mean)^2).
-Uniform P-values are drawn in chunks of CHUNK, one group each; the exact
-binomial draws its outcome histogram in one multinomial, in O(trials) time and
-memory whatever n is, and each drawn outcome is a group with M2 = 0. The KS
-report sorts one copy of its samples and scans it in chunks. Memory is
-O(CHUNK) for the simulations, O(n) for the KS report.
+Uniform P-values are drawn in chunks of CHUNK, one group each, on up to one
+thread per CPU with at least THREAD_CHUNKS chunks per thread, each drawing its
+run of chunks into one reused buffer. The exact binomial draws its outcome
+histogram in one multinomial, in O(trials) time and memory whatever n is, and
+each drawn outcome is a group with M2 = 0. The KS report sorts one copy of its
+samples and scans it in chunks. Memory is O(CHUNK) per thread for the
+simulations, under 1 byte per draw, and O(n) for the KS report.
 
 Reproducibility contract: draws come from numpy's PCG64 bit generator seeded
 with SeedSequence(entropy=seed, spawn_key=(stream,)). The same (seed, stream)
 pair yields bit-identical results across runs and platforms. The pooled sums
 are exactly rounded, so a summary does not depend on the order of its groups.
-Uniform results above CHUNK draws may differ from a single pass over all draws
-in their last bit.
+Chunk j is drawn after `advance(j * CHUNK)` (one 64-bit output per double), so
+results do not depend on the thread count. Uniform results above CHUNK draws
+may differ from a single pass over all draws in their last bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -44,6 +50,16 @@ if TYPE_CHECKING:
 LOW_N = 1000  # below this, summary statistics are flagged as unreliable
 KS_CRITICAL_COEF = 1.63  # asymptotic one-sample KS critical value at the 1% level
 CHUNK = 1 << 16  # values per uniform-draw and KS chunk; fixed, so reruns stay bit-identical
+THREAD_CHUNKS = 16  # fewest chunks per thread, each holding ~9 CHUNK bytes: < 0.6 B/draw
+
+
+def _numpy():
+    """numpy, imported here alone, or the error the CLI prints when it is missing."""
+    try:
+        import numpy
+    except ModuleNotFoundError:
+        raise ModuleNotFoundError("simulate needs numpy", name="numpy") from None
+    return numpy
 
 
 class RngSpec(NamedTuple("RngSpec", [("seed", int), ("stream", int)])):
@@ -59,7 +75,7 @@ class RngSpec(NamedTuple("RngSpec", [("seed", int), ("stream", int)])):
         return tuple.__new__(cls, (seed, stream))
 
     def generator(self) -> np.random.Generator:
-        import numpy as np
+        np = _numpy()
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.PCG64(seq))
 
@@ -105,16 +121,33 @@ def _check_alphas(alphas: Sequence[float]) -> list[float]:
     return out
 
 
-def _chunk_group(p: np.ndarray, alphas: list[float]) -> tuple:
-    """One chunk of P-values as a group, its mean and M2 by numpy's mean and std."""
-    import numpy as np
-    s = np.log(p)
-    np.negative(s, out=s)
-    hits = [int(np.count_nonzero(p <= a)) for a in alphas]
-    total = float(s.sum())
+def _chunk_group(p: np.ndarray, hit: np.ndarray, alphas: list[float]) -> tuple:
+    """One chunk of P-values as a group, its mean and M2 by numpy's mean and std, in
+    place: `hit` is scratch for the alpha tests, and p is overwritten."""
+    np = _numpy()
+    hits = [int(np.count_nonzero(np.less_equal(p, a, out=hit))) for a in alphas]
+    np.log(p, out=p)
+    np.negative(p, out=p)
+    total = float(p.sum())
     mean = total / p.size
-    np.subtract(s, mean, out=s)
-    return p.size, total, mean, float(np.square(s, out=s).sum()), hits
+    np.subtract(p, mean, out=p)
+    return p.size, total, mean, float(np.square(p, out=p).sum()), hits
+
+
+def _uniform_groups(rng: RngSpec, n: int, first: int, last: int, alphas: list[float]) -> list:
+    """Chunks first .. last - 1 of n uniform P-values as groups, drawn into one buffer."""
+    np = _numpy()
+    gen = rng.generator()
+    gen.bit_generator.advance(first * CHUNK)  # one 64-bit output per double
+    p = np.empty(min(CHUNK, n - first * CHUNK))
+    hit = np.empty(p.size, dtype=bool)
+    groups = []
+    for j in range(first, last):
+        q = p[:min(CHUNK, n - j * CHUNK)]
+        # 1 - U keeps the draw in (0, 1]; numpy's random() can return exactly 0.
+        np.subtract(1.0, gen.random(out=q), out=q)
+        groups.append(_chunk_group(q, hit[:q.size], alphas))
+    return groups
 
 
 def _pool(groups: list[tuple], alphas: list[float]) -> SimulationSummary:
@@ -159,10 +192,31 @@ def simulate_uniform_p(
     alphas = _check_alphas(alphas)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"replicate count must be a positive integer, got {n!r}")
-    gen = rng.generator()
-    # 1 - U keeps the draw in (0, 1]; numpy's random() can return exactly 0.
-    return _pool([_chunk_group(1.0 - gen.random(min(CHUNK, n - start)), alphas)
-                  for start in range(0, n, CHUNK)], alphas)
+    chunks = -(-n // CHUNK)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parts = max(1, min(cpus or 1, chunks // THREAD_CHUNKS))
+    runs: list = [None] * parts  # each run's groups, or the exception it raised
+
+    def run(i: int) -> None:
+        try:
+            runs[i] = _uniform_groups(rng, n, chunks * i // parts, chunks * (i + 1) // parts, alphas)
+        except BaseException as exc:
+            runs[i] = exc
+
+    helpers = []
+    try:
+        for i in range(1, parts):
+            t = threading.Thread(target=run, args=(i,))
+            t.start()
+            helpers.append(t)
+        run(0)
+    finally:
+        for t in helpers:
+            t.join()
+    for r in runs:
+        if isinstance(r, BaseException):
+            raise r
+    return _pool([g for r in runs for g in r], alphas)
 
 
 def binomial_upper_tail_pvalues(trials: int, theta0: float) -> list[float]:
@@ -211,7 +265,7 @@ def simulate_exact_binomial(
     (dominance_violations counts the failures), and the mean surprisal is at
     most ~1 nat, read as minimum information against the null.
     """
-    import numpy as np
+    np = _numpy()
     alphas = _check_alphas(alphas)
     if not isinstance(n_reps, int) or isinstance(n_reps, bool) or n_reps < 1:
         raise ValueError(f"replicate count must be a positive integer, got {n_reps!r}")
@@ -269,7 +323,7 @@ def distribution_report(samples, reference: str) -> DistributionReport:
     reference is "exponential_1" or "uniform_01"; passes when the KS statistic
     stays under the asymptotic 1% critical value 1.63 / sqrt(n).
     """
-    import numpy as np
+    np = _numpy()
     data = np.asarray(samples, dtype=float)
     n = data.size
     if n < 100:

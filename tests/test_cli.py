@@ -594,9 +594,9 @@ def test_golden_output(capsys, golden, golden_inputs, case, fmt):
     assert {"code": code, "out": out, "err": err} == golden[f"{case}/{fmt}"]
 
 
-def test_non_simulate_subcommands_run_without_numpy(p_csv):
+def test_non_simulate_subcommands_run_without_numpy(capsys, p_csv):
     # tests/conftest.py blocks numpy here, as it does for the golden cases above without
-    # the marker; simulate needs numpy, which shows the block is in effect
+    # the marker; simulate needs numpy, which shows the block is in effect, and exits 2
     argvs = [
         ["convert", "--p", "0.05"],
         ["calibrate", "--p", "0.01"],
@@ -606,5 +606,5 @@ def test_non_simulate_subcommands_run_without_numpy(p_csv):
     ]
     for argv in argvs:
         assert main(argv) == 0, argv
-    with pytest.raises(ModuleNotFoundError):
-        main(["simulate", "--n", "10"])
+    capsys.readouterr()
+    assert run(capsys, "simulate", "--n", "10") == (2, "", "error: simulate needs numpy\n")

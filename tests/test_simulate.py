@@ -2,13 +2,17 @@
 
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
 
+from svalue import simulate
 from svalue.simulate import (
     CHUNK,
     LOW_N,
+    THREAD_CHUNKS,
     RngSpec,
     _chunk_group,
     _pool,
@@ -26,6 +30,12 @@ np = pytest.importorskip("numpy")
 pytestmark = pytest.mark.numpy
 
 LOG2E = 1.4426950408889634
+
+
+def force_cpus(monkeypatch, cpus):
+    """Make the simulations see `cpus` CPUs (raising=False: not every OS has the call)."""
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
 
 
 class TestRngSpec:
@@ -97,6 +107,48 @@ class TestSimulateUniformP:
             assert (got.mean_s_nats, got.se_of_mean) == (
                 float(s.mean()), float(s.std(ddof=1) / math.sqrt(n)))
 
+    def test_advance_reaches_a_chunk_of_the_stream(self):
+        # each double takes one 64-bit output, so a run drawn after advance(j * CHUNK)
+        # is that slice of one pass over the stream
+        n, j = 5 * CHUNK + 3, 3
+        whole = RngSpec(6, 2).generator().random(n)
+        gen = RngSpec(6, 2).generator()
+        gen.bit_generator.advance(j * CHUNK)
+        assert np.array_equal(gen.random(n - j * CHUNK), whole[j * CHUNK:])
+
+    @pytest.mark.parametrize("n", [16 * CHUNK - 1, 32 * CHUNK + 7, 48 * CHUNK + 1])
+    def test_results_do_not_depend_on_the_cpu_count(self, monkeypatch, n):
+        # at most 1, 2 and 3 runs at these n; a short switch interval interleaves the threads
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 3, 8):
+                force_cpus(monkeypatch, cpus)
+                got.append((simulate_uniform_p(n, RngSpec(12, 5), [0.01, 0.05, 0.5]),
+                            evalue_check(n, RngSpec(12, 5))))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(g == got[0] for g in got)
+
+    def test_a_failing_thread_fails_the_call_and_leaves_no_thread(self, monkeypatch):
+        # 32 chunks on 2 CPUs: the helper thread owns chunks 16 .. 31
+        force_cpus(monkeypatch, 2)
+        calls = []
+
+        def chunk_group(p, hit, alphas):
+            calls.append(threading.current_thread())
+            if threading.current_thread() is not threading.main_thread():
+                raise ArithmeticError("helper failed")
+            return _chunk_group(p, hit, alphas)
+
+        monkeypatch.setattr(simulate, "_chunk_group", chunk_group)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="helper failed"):
+            simulate_uniform_p(32 * CHUNK, RngSpec(1))
+        assert threading.active_count() == before
+        assert len(set(calls)) == 2
+
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate_uniform_p(0, RngSpec(0), [0.5])
@@ -111,7 +163,8 @@ class TestPooling:
         # uniform chunks of uneven sizes beside outcome groups of equal P-values
         alphas = [0.01, 0.05, 0.5]
         gen = RngSpec(3, 1).generator()
-        groups = [_chunk_group(1.0 - gen.random(size), alphas) for size in (CHUNK, 1000, 7, CHUNK, 1)]
+        groups = [_chunk_group(1.0 - gen.random(size), np.empty(size, dtype=bool), alphas)
+                  for size in (CHUNK, 1000, 7, CHUNK, 1)]
         for k, p in ((5, 1.0), (40, 0.3), (1, 1e-300), (999, 0.04)):
             s = -math.log(p)
             groups.append((k, k * s, s, 0.0, [k if p <= a else 0 for a in alphas]))
@@ -355,6 +408,11 @@ class TestMemory:
     ], ids=["uniform", "binomial", "evalue_uniform", "evalue_binomial"])
     def test_simulations_stay_under_one_byte_per_draw(self, call):
         assert self.peak_bytes(lambda: call(self.N)) < self.N
+
+    def test_each_thread_holds_one_chunk_buffer(self, monkeypatch):
+        force_cpus(monkeypatch, 8)  # 64 chunks: four runs of 16
+        n = 4 * THREAD_CHUNKS * CHUNK
+        assert self.peak_bytes(lambda: simulate_uniform_p(n, RngSpec(1))) < n
 
     def test_ks_report_holds_one_sorted_copy(self):
         data = RngSpec(2).generator().random(self.N)
