@@ -24,9 +24,9 @@ _EXPORTS = {
                  "binomial_upper_tail_pvalues", "distribution_report", "evalue_check",
                  "exact_rejection_probability", "simulate_exact_binomial", "simulate_uniform_p"),
     "specfun": ("ChiSquare", "ConvergenceError", "log_chisq_survival", "log_reg_gamma_upper",
-                "normal_cdf", "normal_quantile"),
-    "units": ("InfoUnit", "PValue", "SValue", "coin_toss_gauge", "convert", "from_surprisal",
-              "surprisal", "two_sided_to_sigma"),
+                "normal_quantile"),
+    "units": ("ConversionReport", "InfoUnit", "PValue", "SValue", "coin_toss_gauge",
+              "conversion_report", "convert", "from_surprisal", "surprisal", "two_sided_to_sigma"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -18,7 +18,7 @@ import argparse
 import sys
 from typing import Any
 
-from .units import InfoUnit, SValue
+from .units import InfoUnit, PValue, SValue, conversion_report
 
 CSV_DIALECT = {"delimiter": ",", "lineterminator": "\n"}
 
@@ -88,24 +88,10 @@ def _rename(record: dict, old: str, new: str) -> dict:
 
 
 def cmd_convert(args: argparse.Namespace) -> dict:
-    from .units import PValue, convert, from_surprisal, surprisal, two_sided_to_sigma
     if (args.p is None) == (args.s is None):
         raise ValueError("give exactly one of --p or --s (with --from-unit)")
-    if args.p is not None:
-        p = PValue(args.p)
-        s = surprisal(p, InfoUnit.NATS)
-    else:
-        s = SValue(args.s, InfoUnit(args.from_unit))
-        p = from_surprisal(s)
-    payload: dict[str, Any] = {"p": p.value}
-    payload.update({f"s_{u.value}": convert(s, u).value for u in InfoUnit})
-    payload["coin_tosses"] = round(payload["s_bits"])  # the gauge of the S printed beside it
-    if p.value == 1.0:
-        payload["sigma"] = None
-        payload["notes"] = ["sigma is undefined at p = 1 (the one-sided cutoff is -infinity)"]
-    else:
-        payload["sigma"] = two_sided_to_sigma(p)
-    return payload
+    value = PValue(args.p) if args.s is None else SValue(args.s, InfoUnit(args.from_unit))
+    return _record(conversion_report(value))
 
 
 def cmd_combine(args: argparse.Namespace) -> dict:
@@ -134,7 +120,6 @@ def cmd_combine(args: argparse.Namespace) -> dict:
 
 def cmd_calibrate(args: argparse.Namespace) -> dict:
     from .calibrate import calibration_report
-    from .units import PValue
     return _rename(_record(calibration_report(PValue(args.p), args.d)), "df_d", "d")
 
 

@@ -60,11 +60,11 @@ P_COLUMNS = ("id", "p")
 EFFECT_COLUMNS = ("id", "estimate", "std_error")
 
 
-class StudyTable(Sequence):
+class StudyTable:
     """Checked studies as read-only `ids` and float `columns`, (p,) or (estimate, std_error).
 
-    `studies_from_csv` reads one from a file and `from_columns` builds one in memory. Indexing
-    and iteration give Study rows, built without checking again; a slice gives a list."""
+    `studies_from_csv` reads one from a file and `from_columns` builds one in memory. Its
+    length is the study count, and iteration gives Study rows, built without checking again."""
 
     __slots__ = ("ids", "columns")
     ids: Sequence[str]
@@ -101,13 +101,6 @@ class StudyTable(Sequence):
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, i: int | slice) -> Study | list[Study]:
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        if len(self.columns) == 1:
-            return Study(self.ids[i], self.columns[0][i])
-        return Study(self.ids[i], None, self.columns[0][i], self.columns[1][i])
 
     def __iter__(self) -> Iterator[Study]:
         rows = zip(self.ids, *self.columns)

@@ -8,9 +8,9 @@ surprisal reads as minimum information. This module checks all of that by
 simulation, plus the e-value condition E[-ln P] <= 1 and a one-sample
 Kolmogorov-Smirnov fit report.
 
-numpy is imported on first use, by `_numpy` alone, so `import svalue` and the
-CLI's other subcommands never load it; without numpy, the error reads
-"simulate needs numpy".
+numpy, the `simulate` extra, is imported on first use, by `_numpy` alone, so
+`import svalue` and the CLI's other subcommands never load it; without numpy,
+the error reads "simulate needs numpy (pip install 'svalue[simulate]')".
 
 No path holds n draws. Each generator hands over groups of P-values, each
 with its count k, the sum S and mean m of -ln P, M2 (the sum of squared
@@ -58,7 +58,8 @@ def _numpy():
     try:
         import numpy
     except ModuleNotFoundError:
-        raise ModuleNotFoundError("simulate needs numpy", name="numpy") from None
+        raise ModuleNotFoundError("simulate needs numpy (pip install 'svalue[simulate]')",
+                                  name="numpy") from None
     return numpy
 
 

@@ -1,8 +1,8 @@
 """Special functions: the regularized upper incomplete gamma and chi-squared
-survival in log space, and the standard-normal CDF/quantile pair.
+survival in log space, and the standard-normal two-sided tail and quantile.
 
 There is no scipy dependency. ln Gamma is the standard library's
-`math.lgamma`, the normal CDF is `math.erfc`, and the normal quantile is
+`math.lgamma`, the normal tail is `math.erfc`, and the normal quantile is
 `statistics.NormalDist.inv_cdf` (Wichura's AS 241). The incomplete-gamma
 kernel is implemented here and validated in the test suite against exact
 closed forms, brute-force quadrature and frozen mpmath values. It returns
@@ -161,13 +161,6 @@ def _two_sided_tail(z: float) -> tuple[float, float]:
     if p > 0.9:
         return p, math.log1p(-math.erf(abs(z) / _SQRT2))
     return p, math.log(p) if p >= 2.0 ** -1021 else log_reg_gamma_upper(0.5, z * z / 2.0)
-
-
-def normal_cdf(z: float) -> float:
-    """Standard-normal CDF via the complementary error function."""
-    if math.isnan(z):
-        raise ValueError("normal_cdf argument must not be NaN")
-    return 0.5 * math.erfc(-z / _SQRT2)
 
 
 @functools.cache

@@ -1,5 +1,5 @@
-"""S-value core: validated P-values, information units, surprisal arithmetic,
-the coin-toss gauge, and the two-sided-P to one-sided-sigma translation."""
+"""S-value core: validated P-values, information units, surprisal arithmetic, the
+coin-toss gauge, the two-sided-P to one-sided-sigma translation, and their record."""
 
 from __future__ import annotations
 
@@ -113,3 +113,29 @@ def two_sided_to_sigma(p: PValue) -> float:
         raise ValueError("two_sided_to_sigma is undefined at p = 1 (sigma = -inf)")
     # Phi^-1(1 - p) computed as -Phi^-1(p) to keep precision for tiny p.
     return -normal_quantile(p.value) + 0.0
+
+
+class ConversionReport(NamedTuple):
+    """A P-value, its S-value in each unit, their coin-toss gauge and sigma (None at p = 1)."""
+
+    p: float
+    s_bits: float
+    s_nats: float
+    s_dits: float
+    coin_tosses: int
+    sigma: float | None
+    notes: tuple[str, ...] = ()
+
+
+def conversion_report(value: PValue | SValue) -> ConversionReport:
+    """The conversion record of a P-value, or of an S-value through the P it stands for."""
+    if isinstance(value, SValue):
+        s, p = value, from_surprisal(value)
+    else:
+        p, s = value, surprisal(value, InfoUnit.NATS)
+    s_bits, s_nats, s_dits = (convert(s, u).value for u in InfoUnit)
+    row = (p.value, s_bits, s_nats, s_dits, round(s_bits))  # coin_tosses gauges s_bits
+    if p.value == 1.0:
+        note = "sigma is undefined at p = 1 (the one-sided cutoff is -infinity)"
+        return ConversionReport(*row, None, (note,))
+    return ConversionReport(*row, two_sided_to_sigma(p))

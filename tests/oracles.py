@@ -3,8 +3,9 @@
 Nothing in here touches svalue internals: the chi-squared survival oracles
 are an even-df closed form (Poisson sum) and brute-force adaptive Simpson
 quadrature of the density, with the half-integer gamma constants written out
-exactly. High-precision scalar anchors elsewhere in the suite were
-precomputed with mpmath at 40 digits and frozen as literals.
+exactly. The standard-normal CDF is the stdlib's erfc. High-precision scalar
+anchors elsewhere in the suite were precomputed with mpmath at 40 digits and
+frozen as literals.
 """
 
 import math
@@ -15,6 +16,11 @@ _GAMMA_HALF = {
     3: math.sqrt(math.pi) / 2.0,  # Gamma(3/2)
     5: 3.0 * math.sqrt(math.pi) / 4.0,  # Gamma(5/2)
 }
+
+
+def phi(z: float) -> float:
+    """Standard-normal CDF, 0.5 erfc(-z / sqrt 2)."""
+    return 0.5 * math.erfc(-z / math.sqrt(2))
 
 
 def chisq_survival_closed_form_even(df: int, x: float) -> float:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from svalue.cli import main
+from svalue.units import InfoUnit, PValue, SValue, conversion_report
 
 
 def run(capsys, *argv):
@@ -594,6 +595,17 @@ def test_golden_output(capsys, golden, golden_inputs, case, fmt):
     assert {"code": code, "out": out, "err": err} == golden[f"{case}/{fmt}"]
 
 
+@pytest.mark.parametrize("case", [c for c in GOLDEN_CASES if c.startswith("convert")])
+def test_conversion_report_is_the_convert_record(golden, case):
+    opts = dict(zip(GOLDEN_CASES[case][1::2], GOLDEN_CASES[case][2::2]))
+    value = (PValue(float(opts["--p"])) if "--p" in opts
+             else SValue(float(opts["--s"]), InfoUnit(opts["--from-unit"])))
+    record = conversion_report(value)._asdict()
+    printed = json.loads(golden[f"{case}/json"]["out"])
+    assert list(record) == list(printed)
+    assert {**record, "notes": list(record["notes"])} == printed
+
+
 def test_non_simulate_subcommands_run_without_numpy(capsys, p_csv):
     # tests/conftest.py blocks numpy here, as it does for the golden cases above without
     # the marker; simulate needs numpy, which shows the block is in effect, and exits 2
@@ -607,4 +619,5 @@ def test_non_simulate_subcommands_run_without_numpy(capsys, p_csv):
     for argv in argvs:
         assert main(argv) == 0, argv
     capsys.readouterr()
-    assert run(capsys, "simulate", "--n", "10") == (2, "", "error: simulate needs numpy\n")
+    assert run(capsys, "simulate", "--n", "10") == (
+        2, "", "error: simulate needs numpy (pip install 'svalue[simulate]')\n")

@@ -75,6 +75,7 @@ def test_readme_library_example_runs():
 
 
 RECORD_FIELDS = {
+    "ConversionReport": ("p", "s_bits", "s_nats", "s_dits", "coin_tosses", "sigma", "notes"),
     "CalibrationReport": ("p", "df_d", "mlr", "deviance", "aic_delta", "bf_lower_bound",
                           "odds_increase_bound", "conditional_type1", "notes"),
     "CombinationReport": ("k", "s_plus", "df", "p_summary", "s_summary",

@@ -4,7 +4,9 @@ import math
 import random
 import sys
 import threading
+import time
 import tracemalloc
+import types
 
 import pytest
 
@@ -36,6 +38,20 @@ def force_cpus(monkeypatch, cpus):
     """Make the simulations see `cpus` CPUs (raising=False: not every OS has the call)."""
     monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
+
+
+class LingeringThread(threading.Thread):
+    """A thread that stays alive 0.2 s after its target returns, so only a join waits for it."""
+
+    def run(self):
+        super().run()
+        time.sleep(0.2)
+
+
+def linger_threads(monkeypatch):
+    """Make `simulate` start LingeringThreads, on 2 CPUs: 32 chunks give one helper thread."""
+    force_cpus(monkeypatch, 2)
+    monkeypatch.setattr(simulate, "threading", types.SimpleNamespace(Thread=LingeringThread))
 
 
 class TestRngSpec:
@@ -131,9 +147,15 @@ class TestSimulateUniformP:
             sys.setswitchinterval(interval)
         assert all(g == got[0] for g in got)
 
+    def test_every_thread_is_joined_before_the_call_returns(self, monkeypatch):
+        linger_threads(monkeypatch)
+        before = threading.active_count()
+        simulate_uniform_p(32 * CHUNK, RngSpec(1))
+        assert threading.active_count() == before
+
     def test_a_failing_thread_fails_the_call_and_leaves_no_thread(self, monkeypatch):
-        # 32 chunks on 2 CPUs: the helper thread owns chunks 16 .. 31
-        force_cpus(monkeypatch, 2)
+        # the helper thread owns chunks 16 .. 31
+        linger_threads(monkeypatch)
         calls = []
 
         def chunk_group(p, hit, alphas):

@@ -7,10 +7,12 @@ import random
 import pytest
 
 from svalue.units import (
+    ConversionReport,
     InfoUnit,
     PValue,
     SValue,
     coin_toss_gauge,
+    conversion_report,
     convert,
     from_surprisal,
     surprisal,
@@ -221,3 +223,26 @@ class TestTwoSidedToSigma:
     def test_undefined_at_one(self):
         with pytest.raises(ValueError):
             two_sided_to_sigma(PValue(1.0))
+
+
+class TestConversionReport:
+    @pytest.mark.parametrize("value", [PValue(0.05), PValue(2.2e-308), SValue(2.5, InfoUnit.BITS),
+                                       SValue(1.0, InfoUnit.DITS), SValue(700.0, InfoUnit.NATS)])
+    def test_fields_come_from_the_unit_functions(self, value):
+        rep = conversion_report(value)
+        p = from_surprisal(value) if isinstance(value, SValue) else value
+        s = value if isinstance(value, SValue) else surprisal(value, InfoUnit.NATS)
+        assert rep == ConversionReport(p.value, *(convert(s, u).value for u in ALL_UNITS),
+                                       round(rep.s_bits), two_sided_to_sigma(p))
+        assert rep.notes == ()
+
+    def test_coin_tosses_gauge_the_printed_bits(self):
+        # 1074.81 bits, where the gauge of the rounded P, 5e-324, reads 1074
+        rep = conversion_report(SValue(745, InfoUnit.NATS))
+        assert rep.coin_tosses == 1075 and coin_toss_gauge(PValue(rep.p)) == 1074
+
+    @pytest.mark.parametrize("value", [PValue(1.0), SValue(0.0, InfoUnit.DITS)])
+    def test_sigma_is_none_with_a_note_at_p_one(self, value):
+        rep = conversion_report(value)
+        assert rep[:-1] == (1.0, 0.0, 0.0, 0.0, 0, None)
+        assert rep.notes == ("sigma is undefined at p = 1 (the one-sided cutoff is -infinity)",)
