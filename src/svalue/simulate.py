@@ -16,21 +16,23 @@ No path holds n draws. Each generator hands over groups of P-values, each
 with its count k, the sum S and mean m of -ln P, M2 (the sum of squared
 deviations from m) and its hits at each alpha. One pooling step reports them:
 n = sum k, mean = fsum(S) / n and M2 = fsum(M2) + fsum(k (m - mean)^2).
-Uniform P-values are drawn in chunks of CHUNK, one group each, on up to one
-thread per CPU with at least THREAD_CHUNKS chunks per thread, each drawing its
-run of chunks into one reused buffer. The exact binomial draws its outcome
-histogram in one multinomial, in O(trials) time and memory whatever n is, and
-each drawn outcome is a group with M2 = 0. The KS report sorts one copy of its
-samples and scans it in chunks. Memory is O(CHUNK) per thread for the
-simulations, under 1 byte per draw, and O(n) for the KS report.
+Uniform P-values are drawn in chunks of CHUNK, one group each, each thread
+drawing its run of chunks into one reused buffer. The exact binomial draws its
+outcome histogram in one multinomial, in O(trials) time and memory whatever n
+is, and each drawn outcome is a group with M2 = 0. The KS report partitions one
+copy of its samples into blocks of ranks; each thread sorts its block in place
+and scans it in chunks. One fan-out, `_on_threads`, runs both on up to one
+thread per CPU, each with at least THREAD_CHUNKS chunks. Memory is O(CHUNK) per
+thread (under 1 byte per draw for the simulations) plus the KS report's copy.
 
 Reproducibility contract: draws come from numpy's PCG64 bit generator seeded
 with SeedSequence(entropy=seed, spawn_key=(stream,)). The same (seed, stream)
 pair yields bit-identical results across runs and platforms. The pooled sums
 are exactly rounded, so a summary does not depend on the order of its groups.
-Chunk j is drawn after `advance(j * CHUNK)` (one 64-bit output per double), so
-results do not depend on the thread count. Uniform results above CHUNK draws
-may differ from a single pass over all draws in their last bit.
+Chunk j is drawn after `advance(j * CHUNK)` (one 64-bit output per double), and
+any sort of the KS copy holds the same value at each rank i, with i / n one
+division; so results do not depend on the thread count. Uniform results above
+CHUNK draws may differ from a single pass over all draws in their last bit.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ if TYPE_CHECKING:
 LOW_N = 1000  # below this, summary statistics are flagged as unreliable
 KS_CRITICAL_COEF = 1.63  # asymptotic one-sample KS critical value at the 1% level
 CHUNK = 1 << 16  # values per uniform-draw and KS chunk; fixed, so reruns stay bit-identical
-THREAD_CHUNKS = 16  # fewest chunks per thread, each holding ~9 CHUNK bytes: < 0.6 B/draw
+THREAD_CHUNKS = 16  # fewest chunks per thread; a uniform run holds ~9 CHUNK bytes: < 0.6 B/draw
 
 
 def _numpy():
@@ -182,6 +184,39 @@ def _pool(groups: list[tuple], alphas: list[float]) -> SimulationSummary:
     )
 
 
+def _parts(chunks: int) -> int:
+    """Threads for a call of `chunks` chunks: one per CPU, each with at least THREAD_CHUNKS."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, chunks // THREAD_CHUNKS))
+
+
+def _on_threads(parts: int, run) -> list:
+    """[run(0), .., run(parts - 1)]: run(0) on the calling thread, the others on helper
+    threads, every one joined before this returns; the lowest failing run's exception is raised."""
+    out: list = [None] * parts  # each run's result, or the exception it raised
+
+    def call(i: int) -> None:
+        try:
+            out[i] = run(i)
+        except BaseException as exc:
+            out[i] = exc
+
+    helpers = []
+    try:
+        for i in range(1, parts):
+            t = threading.Thread(target=call, args=(i,))
+            t.start()
+            helpers.append(t)
+        call(0)
+    finally:
+        for t in helpers:
+            t.join()
+    for r in out:
+        if isinstance(r, BaseException):
+            raise r
+    return out
+
+
 def simulate_uniform_p(
     n: int, rng: RngSpec, alphas: Sequence[float] = (0.01, 0.05, 0.1)
 ) -> SimulationSummary:
@@ -194,29 +229,9 @@ def simulate_uniform_p(
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"replicate count must be a positive integer, got {n!r}")
     chunks = -(-n // CHUNK)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    parts = max(1, min(cpus or 1, chunks // THREAD_CHUNKS))
-    runs: list = [None] * parts  # each run's groups, or the exception it raised
-
-    def run(i: int) -> None:
-        try:
-            runs[i] = _uniform_groups(rng, n, chunks * i // parts, chunks * (i + 1) // parts, alphas)
-        except BaseException as exc:
-            runs[i] = exc
-
-    helpers = []
-    try:
-        for i in range(1, parts):
-            t = threading.Thread(target=run, args=(i,))
-            t.start()
-            helpers.append(t)
-        run(0)
-    finally:
-        for t in helpers:
-            t.join()
-    for r in runs:
-        if isinstance(r, BaseException):
-            raise r
+    parts = _parts(chunks)
+    runs = _on_threads(parts, lambda i: _uniform_groups(
+        rng, n, chunks * i // parts, chunks * (i + 1) // parts, alphas))
     return _pool([g for r in runs for g in r], alphas)
 
 
@@ -318,6 +333,23 @@ def evalue_check(
     )
 
 
+def _ks_block(data: np.ndarray, first: int, last: int, cdf) -> float:
+    """Sort data[first:last], a block of ranks that holds no value below an earlier block's,
+    in place, and return its largest D+ or D-, scanned in chunks at global ranks."""
+    np = _numpy()
+    data[first:last].sort()
+    if np.isnan(data[last - 1]):  # sort puts NaN last in this block, wherever partition put it
+        raise ValueError("samples must not contain NaN")
+    f = np.empty(min(CHUNK, last - first))  # the CDF of one chunk
+    d_stat = 0.0
+    for start in range(first, last, CHUNK):
+        x = data[start:min(start + CHUNK, last)]
+        fx = cdf(x, f[:x.size])
+        ramp = np.arange(start, start + x.size + 1) / data.size  # (i - 1) / n and i / n at rank i
+        d_stat = max(d_stat, float(np.max(ramp[1:] - fx)), float(np.max(fx - ramp[:-1])))
+    return d_stat
+
+
 def distribution_report(samples, reference: str) -> DistributionReport:
     """One-sample Kolmogorov-Smirnov fit report against a fixed reference CDF.
 
@@ -325,28 +357,26 @@ def distribution_report(samples, reference: str) -> DistributionReport:
     stays under the asymptotic 1% critical value 1.63 / sqrt(n).
     """
     np = _numpy()
-    data = np.asarray(samples, dtype=float)
+    data = np.array(samples, dtype=float)
     n = data.size
-    if n < 100:
-        raise ValueError(f"distribution_report needs at least 100 samples, got {n}")
-    data = np.sort(data)
-    if np.isnan(data[-1]):  # np.sort puts NaN last
-        raise ValueError("samples must not contain NaN")
+    if n < 100 or data.ndim != 1:
+        raise ValueError(f"distribution_report needs 100 or more samples in 1-D, got {data.shape}")
     if reference == "exponential_1":
-        def cdf(x):
-            return -np.expm1(-np.clip(x, 0.0, None))
+        def cdf(x, out):
+            np.clip(x, 0.0, None, out=out)
+            return np.negative(np.expm1(np.negative(out, out=out), out=out), out=out)
     elif reference == "uniform_01":
-        def cdf(x):
-            return np.clip(x, 0.0, 1.0)
+        def cdf(x, out):
+            return np.clip(x, 0.0, 1.0, out=out)
     else:
         raise ValueError(
             f"unknown reference {reference!r}; expected exponential_1 or uniform_01"
         )
-    d_stat = 0.0  # the largest D+ or D-, taken chunk by chunk
-    for start in range(0, n, CHUNK):
-        f = cdf(data[start:start + CHUNK])
-        i = np.arange(start + 1, start + f.size + 1)
-        d_stat = max(d_stat, float(np.max(i / n - f)), float(np.max(f - (i - 1) / n)))
+    parts = _parts(-(-n // CHUNK))
+    edges = [n * i // parts for i in range(parts + 1)]
+    if parts > 1:
+        data.partition(edges[1:-1])  # block i holds ranks edges[i] .. edges[i + 1] - 1
+    d_stat = max(_on_threads(parts, lambda i: _ks_block(data, edges[i], edges[i + 1], cdf)))
     critical = KS_CRITICAL_COEF / math.sqrt(n)
     return DistributionReport(
         n=n,

@@ -17,6 +17,7 @@ from svalue.simulate import (
     THREAD_CHUNKS,
     RngSpec,
     _chunk_group,
+    _ks_block,
     _pool,
     binomial_upper_tail_pvalues,
     distribution_report,
@@ -382,10 +383,15 @@ class TestDistributionReport:
         data = RngSpec(9).generator().random(10_000)
         assert distribution_report(data, "uniform_01").passed
 
-    @pytest.mark.parametrize("n", [CHUNK + 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("n, decimals", [
+        (CHUNK + 1, None), (2 * CHUNK + 3, None), (3 * THREAD_CHUNKS * CHUNK + 3, None),
+        (3 * THREAD_CHUNKS * CHUNK + 3, 3),  # rounded: ties straddle the block edges
+    ], ids=[str(CHUNK + 1), str(2 * CHUNK + 3), "3_blocks", "3_blocks_tied"])
     @pytest.mark.parametrize("reference", ["exponential_1", "uniform_01"])
-    def test_chunks_match_the_whole_array_formula(self, n, reference):
+    def test_chunks_match_the_whole_array_formula(self, monkeypatch, n, reference, decimals):
         data = -np.log(1.0 - RngSpec(n).generator().random(n))
+        if decimals is not None:
+            data = np.round(data, decimals)
         x = np.sort(data)
         if reference == "exponential_1":
             cdf = -np.expm1(-np.clip(x, 0.0, None))
@@ -393,7 +399,48 @@ class TestDistributionReport:
             cdf = np.clip(x, 0.0, 1.0)
         i = np.arange(1, n + 1)
         want = max(float(np.max(i / n - cdf)), float(np.max(cdf - (i - 1) / n)))
-        assert distribution_report(data, reference).ks_statistic == want
+        given = data.copy()
+        for cpus in (1, 2, 3, 8):  # the largest n splits into 1, 2, 3 and 3 blocks
+            force_cpus(monkeypatch, cpus)
+            assert distribution_report(data, reference).ks_statistic == want
+        assert np.array_equal(data, given)  # the report sorts its own copy
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    @pytest.mark.parametrize("where", ["first", "middle", "edge", "last", "several"])
+    def test_nan_is_refused_in_every_block(self, monkeypatch, cpus, where):
+        n = cpus * THREAD_CHUNKS * CHUNK + 3  # cpus blocks, the second starting at n // cpus
+        force_cpus(monkeypatch, cpus)
+        data = RngSpec(3).generator().random(n)
+        data[{"first": [0], "middle": [n // 2 + 1], "edge": [n // cpus], "last": [n - 1],
+              "several": [5, 7, n // 2]}[where]] = math.nan
+        with pytest.raises(ValueError, match="samples must not contain NaN"):
+            distribution_report(data, "uniform_01")
+
+    def test_every_thread_is_joined_before_the_call_returns(self, monkeypatch):
+        linger_threads(monkeypatch)
+        data = RngSpec(1).generator().random(32 * CHUNK)
+        before = threading.active_count()
+        distribution_report(data, "uniform_01")
+        assert threading.active_count() == before
+
+    def test_a_failing_thread_fails_the_call_and_leaves_no_thread(self, monkeypatch):
+        # the helper thread owns the second block of ranks
+        linger_threads(monkeypatch)
+        calls = []
+
+        def ks_block(data, first, last, cdf):
+            calls.append(threading.current_thread())
+            if threading.current_thread() is not threading.main_thread():
+                raise ArithmeticError("helper failed")
+            return _ks_block(data, first, last, cdf)
+
+        monkeypatch.setattr(simulate, "_ks_block", ks_block)
+        data = RngSpec(1).generator().random(32 * CHUNK)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="helper failed"):
+            distribution_report(data, "uniform_01")
+        assert threading.active_count() == before
+        assert len(set(calls)) == 2
 
     def test_critical_value(self):
         rep = distribution_report(np.linspace(0.001, 0.999, 100), "uniform_01")
@@ -402,6 +449,8 @@ class TestDistributionReport:
     def test_validation(self):
         with pytest.raises(ValueError):
             distribution_report(np.linspace(0.01, 0.99, 99), "uniform_01")
+        with pytest.raises(ValueError, match="in 1-D"):
+            distribution_report(np.full((100, 2), 0.5), "uniform_01")
         with pytest.raises(ValueError):
             distribution_report(np.linspace(0.01, 0.99, 200), "gaussian")
         with pytest.raises(ValueError):
@@ -436,6 +485,8 @@ class TestMemory:
         n = 4 * THREAD_CHUNKS * CHUNK
         assert self.peak_bytes(lambda: simulate_uniform_p(n, RngSpec(1))) < n
 
-    def test_ks_report_holds_one_sorted_copy(self):
-        data = RngSpec(2).generator().random(self.N)
-        assert self.peak_bytes(lambda: distribution_report(data, "uniform_01")) < 12 * self.N
+    def test_ks_report_holds_one_sorted_copy(self, monkeypatch):
+        force_cpus(monkeypatch, 8)  # 64 chunks: four blocks of 16
+        n = 4 * THREAD_CHUNKS * CHUNK
+        data = RngSpec(2).generator().random(n)
+        assert self.peak_bytes(lambda: distribution_report(data, "uniform_01")) < 12 * n
