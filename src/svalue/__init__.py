@@ -22,7 +22,7 @@ _EXPORTS = {
     "curves": ("CurvePoint", "EstimateSpec", "curve", "curve_point"),
     "simulate": ("DistributionReport", "EValueCheck", "RngSpec", "SimulationSummary",
                  "binomial_upper_tail_pvalues", "distribution_report", "evalue_check",
-                 "exact_rejection_probability", "simulate_exact_binomial", "simulate_uniform_p"),
+                 "simulate_exact_binomial", "simulate_uniform_p"),
     "specfun": ("ChiSquare", "ConvergenceError", "log_chisq_survival", "log_reg_gamma_upper",
                 "normal_quantile"),
     "units": ("ConversionReport", "InfoUnit", "PValue", "SValue", "coin_toss_gauge",

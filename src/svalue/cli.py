@@ -20,8 +20,6 @@ from typing import Any
 
 from .units import InfoUnit, PValue, SValue, conversion_report
 
-CSV_DIALECT = {"delimiter": ",", "lineterminator": "\n"}
-
 
 def _fmt_table(value: Any) -> str:
     if value is None:
@@ -60,7 +58,7 @@ def _emit(payload: dict | list[dict], fmt: str) -> None:
     if fmt == "csv":
         import csv
         header = [k for k in rows[0] if k != "unit"]
-        writer = csv.writer(sys.stdout, **CSV_DIALECT)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([row[k] for k in header] for row in rows)
     else:

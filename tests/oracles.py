@@ -91,3 +91,18 @@ def binomial_tail_by_enumeration(trials: int, x: int, num: int, den: int) -> flo
     for j in range(x, trials + 1):
         total += math.comb(trials, j) * theta**j * (1 - theta) ** (trials - j)
     return float(total)
+
+
+def binomial_tails_exact(trials: int, theta0: float) -> list[float]:
+    """Pr(X >= x) for x = 0 .. trials, X ~ Binomial(trials, theta0), with the double theta0
+    = a/d taken exactly: the integer terms comb(trials, x) a^x (d - a)^(trials - x), each
+    from the one above by an exact division, summed from x = trials down over d^trials."""
+    a, d = theta0.as_integer_ratio()
+    term, scale = a**trials, d**trials
+    tails = [1.0] * (trials + 1)
+    acc = 0
+    for x in range(trials, 0, -1):
+        acc += term
+        tails[x] = acc / scale  # int / int is correctly rounded
+        term = term * x * (d - a) // ((trials - x + 1) * a)
+    return tails

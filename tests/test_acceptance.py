@@ -10,8 +10,8 @@ from svalue.combine import StudyTable, s_summation_test
 from svalue.curves import EstimateSpec, curve, curve_point
 from svalue.simulate import (
     RngSpec,
+    binomial_upper_tail_pvalues,
     distribution_report,
-    exact_rejection_probability,
     simulate_exact_binomial,
     simulate_uniform_p,
 )
@@ -76,7 +76,8 @@ def test_criterion_04_type1_calibration():
 @pytest.mark.numpy
 def test_criterion_05_conservative_validity():
     s = simulate_exact_binomial(N_SIM, 10, 0.5, RngSpec(SEED, 2), [0.01, 0.05, 0.1])
-    exact = exact_rejection_probability(10, 0.5, 0.05)
+    # the P-value falls as x grows, so Pr(P <= 0.05) is the first tail at or below 0.05
+    exact = next(t for t in binomial_upper_tail_pvalues(10, 0.5) if t <= 0.05)
     enum_err = abs(exact - 11.0 / 1024.0)
     check(
         5,

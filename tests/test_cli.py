@@ -412,7 +412,8 @@ class TestUsage:
 
 
 class TestArithmeticErrors:
-    """Overflow and division by zero inside the numerics end in exit 2, not a traceback."""
+    """Overflow and division by zero inside the numerics end in exit 2, not a traceback; an
+    input that once overflowed and no longer does gets its answer."""
 
     def test_calibrate_tiny_p(self, capsys):
         # at 5e-324, p / 2 underflows to 0 before the quantile; at 1e-320, exp overflows
@@ -423,10 +424,15 @@ class TestArithmeticErrors:
 
     @pytest.mark.numpy
     def test_binomial_many_trials(self, capsys):
-        code, out, err = run(capsys, "simulate", "--generator", "binomial", "--n", "100",
-                             "--trials", "2000", "--theta0", "0.5")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ")
+        # from 1030 trials the tails once converted a too-large comb(trials, x) to float
+        code, out, err = run(capsys, "simulate", "--generator", "binomial", "--n", "1000",
+                             "--trials", "2000", "--theta0", "0.4", "--seed", "1",
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        assert (payload["n"], payload["trials"]) == (1000, 2000)
+        assert payload["dominance_violations"] == 0
+        assert payload["mean_s_nats"] <= 1.0 + 3.0 * payload["se_of_mean"]
 
     def test_pooled_tiny_std_error(self, capsys, tmp_path):
         # scale-free weights: the same z and S as the unscaled (0.3, 1), (0.5, 2)

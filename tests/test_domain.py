@@ -20,7 +20,6 @@ import pytest
 from svalue.calibrate import calibration_report
 from svalue.cli import main
 from svalue.curves import EstimateSpec, curve_point
-from svalue.simulate import binomial_upper_tail_pvalues
 from svalue.units import InfoUnit, PValue
 
 # From the smallest subnormal to near the largest double. z^2 overflows past
@@ -130,9 +129,6 @@ def _cli_json(*argv):
 # and, in its id, the ROADMAP item whose change mends it. Strict, so a mended row fails until
 # it is deleted. The table is to end empty; it is no place to park a new failure.
 KNOWN_FAILURES = [
-    # comb(1100, x) is an int too large to convert to float
-    pytest.param(lambda: binomial_upper_tail_pvalues(1100, 0.5)[550],
-                 0.5120258288841159052248456, id="item2-binomial-1100-trials"),
     # -ln Phi(8.8), where Phi(8.8) rounds to 1 and s_le reads 0.0
     pytest.param(lambda: curve_point(EstimateSpec(0.0, 1.0), 8.8, InfoUnit.NATS).s_le.value,
                  6.840807685935589295046252e-19, id="item2-curve-s-le-near-0"),

@@ -22,12 +22,11 @@ from svalue.simulate import (
     binomial_upper_tail_pvalues,
     distribution_report,
     evalue_check,
-    exact_rejection_probability,
     simulate_exact_binomial,
     simulate_uniform_p,
 )
 
-from oracles import binomial_tail_by_enumeration
+from oracles import binomial_tail_by_enumeration, binomial_tails_exact
 
 np = pytest.importorskip("numpy")
 pytestmark = pytest.mark.numpy
@@ -124,6 +123,21 @@ class TestSimulateUniformP:
             assert (got.mean_s_nats, got.se_of_mean) == (
                 float(s.mean()), float(s.std(ddof=1) / math.sqrt(n)))
 
+    def test_chunk_group_matches_the_two_pass_reference(self):
+        # the reference negates ln p, sums, subtracts the mean, squares and sums; the chunk
+        # group sums ln p and adds the mean instead, which negation makes exact, bit for bit
+        alphas = [0.01, 0.05, 0.5]
+        sizes = [1, 2, 3, CHUNK - 1, CHUNK, *random.Random(8).sample(range(4, CHUNK - 1), 20)]
+        gen = RngSpec(13, 6).generator()
+        for size in sizes:
+            p = 1.0 - gen.random(size)
+            s = np.negative(np.log(p))
+            total = float(s.sum())
+            mean = total / size
+            want = (size, total, mean, float(np.square(s - mean).sum()),
+                    [int(np.count_nonzero(p <= a)) for a in alphas])
+            assert _chunk_group(p, np.empty(size, dtype=bool), alphas) == want
+
     def test_advance_reaches_a_chunk_of_the_stream(self):
         # each double takes one 64-bit output, so a run drawn after advance(j * CHUNK)
         # is that slice of one pass over the stream
@@ -212,29 +226,39 @@ class TestPooling:
         assert evalue_check(n, RngSpec(0), "binomial", 10, 0.5).notes == notes
 
 
+def rejection_probability(tails, alpha):
+    """Exact Pr(P <= alpha): the P-value falls in x, so this is the first tail at or below alpha."""
+    return next((t for t in tails if t <= alpha), 0.0)
+
+
 class TestBinomialTails:
     def test_enumerated_table_for_ten_fair_trials(self):
         tails = binomial_upper_tail_pvalues(10, 0.5)
         assert tails[0] == 1.0
-        assert tails[10] == 1.0 / 1024.0
-        assert tails[9] == 11.0 / 1024.0
-        assert tails[8] == 7.0 / 128.0
+        assert tails[10] == pytest.approx(1.0 / 1024.0, rel=2e-15, abs=0)
+        assert tails[9] == pytest.approx(11.0 / 1024.0, rel=2e-15, abs=0)
+        assert tails[8] == pytest.approx(7.0 / 128.0, rel=2e-15, abs=0)
 
     def test_single_trial(self):
         assert binomial_upper_tail_pvalues(1, 0.5) == [1.0, 0.5]
 
-    @pytest.mark.parametrize("theta0", [0.05, 0.5, 0.77])
-    def test_comb_recurrence_is_bit_identical(self, theta0):
-        trials = 1000
-        pmf = [math.comb(trials, x) * theta0**x * (1.0 - theta0) ** (trials - x)
-               for x in range(trials + 1)]
-        want = [0.0] * (trials + 1)
-        acc = 0.0
-        for x in range(trials, 0, -1):
-            acc += pmf[x]
-            want[x] = min(acc, 1.0)
-        want[0] = 1.0
-        assert binomial_upper_tail_pvalues(trials, theta0) == want
+    @pytest.mark.parametrize("theta0", [0.05, 0.3, 0.5, 0.77])
+    def test_matches_exact_rational_tails_at_1000_and_2000_trials(self, theta0):
+        # 2000 trials once overflowed converting comb(2000, x) to float
+        for trials in (1000, 2000):
+            tails = binomial_upper_tail_pvalues(trials, theta0)
+            want = binomial_tails_exact(trials, theta0)
+            assert tails[0] == 1.0
+            for got, w in zip(tails, want):
+                if w >= sys.float_info.min:
+                    assert got == pytest.approx(w, rel=1e-12, abs=0)
+                else:  # below the least normal double, e.g. 0.0 at (1000, 0.05)
+                    assert abs(got - w) <= sys.float_info.min
+
+    def test_former_overflow_input(self):
+        # mpmath 1.3.0 at 50 digits; comb(1100, x) was an int too large to convert to float
+        assert binomial_upper_tail_pvalues(1100, 0.5)[550] == pytest.approx(
+            0.5120258288841159052248456, rel=1e-12, abs=0)
 
     def test_matches_fraction_enumeration_for_uneven_theta(self):
         trials = 12
@@ -247,19 +271,21 @@ class TestBinomialTails:
     def test_exact_rejection_probability_anchor(self):
         # only x in {9, 10} reach p <= 0.05, so the rejection region has
         # probability 11/1024 exactly
-        assert abs(exact_rejection_probability(10, 0.5, 0.05) - 11.0 / 1024.0) <= 1e-15
+        tails = binomial_upper_tail_pvalues(10, 0.5)
+        assert abs(rejection_probability(tails, 0.05) - 11.0 / 1024.0) <= 1e-15
 
     def test_single_trial_cannot_reject_at_5_percent(self):
-        assert exact_rejection_probability(1, 0.5, 0.05) == 0.0
+        assert rejection_probability(binomial_upper_tail_pvalues(1, 0.5), 0.05) == 0.0
 
     def test_conservative_validity_by_enumeration(self):
         # Pr(P <= alpha) <= alpha for every alpha: exact stochastic dominance,
         # no simulation involved.
         alphas = np.linspace(0.001, 0.999, 199)
-        for trials in (1, 5, 10, 50):
+        for trials in range(1, 51):
             for theta in (0.3, 0.5, 0.7):
+                tails = binomial_upper_tail_pvalues(trials, theta)
                 for alpha in alphas:
-                    assert exact_rejection_probability(trials, theta, float(alpha)) <= alpha + 1e-12
+                    assert rejection_probability(tails, float(alpha)) <= alpha + 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
