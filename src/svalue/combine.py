@@ -22,7 +22,9 @@ import csv
 import math
 import os
 from array import array
+from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .specfun import ChiSquare, _two_sided_tail, log_chisq_survival
@@ -58,6 +60,7 @@ class Study(NamedTuple):
 
 P_COLUMNS = ("id", "p")
 EFFECT_COLUMNS = ("id", "estimate", "std_error")
+_BLOCK_CHARS = 1 << 16  # the size hint of each block of lines that studies_from_csv reads
 
 
 class StudyTable:
@@ -248,6 +251,8 @@ def pooled_homogeneity_test(studies: StudyTable, null_value: float = 0.0) -> Poo
         pooled_estimate = scaled / total_w * e_max
     pooled_se = se_min / math.sqrt(total_w)
     z = (pooled_estimate - null_value) / pooled_se
+    if math.isinf(z):
+        raise OverflowError("the pooled z-score (pooled estimate - null) / pooled se overflows")
     p_two_sided, log_p = _two_sided_tail(z)  # refuses a z whose square overflows
     return PooledReport(
         k=len(estimate),
@@ -297,15 +302,43 @@ def compare_methods(studies: StudyTable, null_value: float = 0.0) -> MethodCompa
     )
 
 
+def _read_plain(block: list[str], ids: list[str], columns: list[array]) -> bool:
+    """Append the studies of `block` and return True if each of its lines is a plain row
+    (no quote or NUL, none past the csv field limit, one field per column) that csv would
+    read by splitting it at its commas, and each passes the checks; else return False and
+    change nothing."""
+    text, width = ",".join(block), len(columns) + 1
+    if ('"' in text or "\0" in text or max(map(len, block)) > csv.field_size_limit()
+            or set(map(str.count, block, repeat(","))) != {width - 1}):
+        return False
+    fields = text.split(",")  # the last field of each line keeps its line end; float strips it
+    try:
+        new_ids = list(map(str.strip, fields[0::width]))
+        new = [array("d", map(float, fields[k::width])) for k in range(1, width)]
+        checks = map(_check_effect, new_ids, *new) if new[1:] else map(_check_p, new[0])
+        deque(checks, 0)  # runs each study's check
+    except ValueError:
+        return False
+    ids += new_ids
+    for col, values in zip(columns, new):
+        col += values
+    return True
+
+
 def studies_from_csv(path: str | os.PathLike) -> StudyTable:
     """Read a study table: header `id,p` or `id,estimate,std_error` (UTF-8, optional BOM).
 
     Rows are validated straight into columns; rows of blank cells are skipped.
     Raises SchemaError on any layout or value problem, naming the physical line
     where the offending record ends; I/O errors propagate.
+
+    After the header, blocks of about _BLOCK_CHARS characters of plain rows are read in
+    bulk (see _read_plain). The first other block and the rest of the file go to the csv
+    row loop, the only code that skips a blank row or refuses one, so errors, their line
+    numbers and skipped rows are those of a file read by that loop alone.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader, lines_before = csv.reader(fh), 0
         try:
             header = next(reader, None)
             if header is None:
@@ -321,6 +354,10 @@ def studies_from_csv(path: str | os.PathLike) -> StudyTable:
                 )
             p_form = header == P_COLUMNS
             ids, columns = [], [array("d") for _ in header[1:]]
+            lines_before = reader.line_num
+            while (block := fh.readlines(_BLOCK_CHARS)) and _read_plain(block, ids, columns):
+                lines_before += len(block)
+            reader = csv.reader(chain(block, fh))
             for row in reader:
                 try:
                     if len(row) != len(header):
@@ -335,11 +372,12 @@ def studies_from_csv(path: str | os.PathLike) -> StudyTable:
                         columns[1].append(std_error)
                 except ValueError as exc:
                     if any(cell.strip() for cell in row):
-                        raise SchemaError(f"line {reader.line_num}: {exc}") from None
+                        raise SchemaError(
+                            f"line {lines_before + reader.line_num}: {exc}") from None
                     continue  # a row of blank cells
                 ids.append(id_)
         except csv.Error as exc:  # a malformed line, say a field over csv.field_size_limit
-            raise SchemaError(f"line {reader.line_num}: {exc}") from None
+            raise SchemaError(f"line {lines_before + reader.line_num}: {exc}") from None
     if not ids:
         raise SchemaError("study file contains a header but no data rows")
     return StudyTable(tuple(ids), tuple(memoryview(col).toreadonly() for col in columns))

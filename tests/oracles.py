@@ -5,10 +5,14 @@ are an even-df closed form (Poisson sum) and brute-force adaptive Simpson
 quadrature of the density, with the half-integer gamma constants written out
 exactly. The standard-normal CDF is the stdlib's erfc. High-precision scalar
 anchors elsewhere in the suite were precomputed with mpmath at 40 digits and
-frozen as literals.
+frozen as literals. The one exception is `studies_from_csv_by_rows`, the study
+file reader as a csv row loop alone: it shares the library's value checks, so
+that its errors can be compared with the library reader's to the character.
 """
 
+import csv
 import math
+from array import array
 
 # Gamma(df/2) for the odd df the quadrature oracle covers; exact closed forms.
 _GAMMA_HALF = {
@@ -106,3 +110,51 @@ def binomial_tails_exact(trials: int, theta0: float) -> list[float]:
         tails[x] = acc / scale  # int / int is correctly rounded
         term = term * x * (d - a) // ((trials - x + 1) * a)
     return tails
+
+
+def studies_from_csv_by_rows(path):
+    """svalue.combine.studies_from_csv as one csv row loop over the whole file, with no
+    block read: the library's reader must give the same table, or raise the same error."""
+    from svalue.combine import (EFFECT_COLUMNS, P_COLUMNS, SchemaError, StudyTable,
+                                _check_effect)
+    from svalue.units import _check_p
+
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(
+                    f"empty study file; expected header {','.join(P_COLUMNS)} or "
+                    f"{','.join(EFFECT_COLUMNS)}"
+                )
+            header = tuple(h.strip().lower() for h in header)
+            if header not in (P_COLUMNS, EFFECT_COLUMNS):
+                raise SchemaError(
+                    f"unrecognized columns {list(header)}; expected "
+                    f"{','.join(P_COLUMNS)} or {','.join(EFFECT_COLUMNS)}"
+                )
+            p_form = header == P_COLUMNS
+            ids, columns = [], [array("d") for _ in header[1:]]
+            for row in reader:
+                try:
+                    if len(row) != len(header):
+                        raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                    id_ = row[0].strip()
+                    if p_form:
+                        columns[0].append(_check_p(float(row[1])))
+                    else:
+                        estimate, std_error = float(row[1]), float(row[2])
+                        _check_effect(id_, estimate, std_error)
+                        columns[0].append(estimate)
+                        columns[1].append(std_error)
+                except ValueError as exc:
+                    if any(cell.strip() for cell in row):
+                        raise SchemaError(f"line {reader.line_num}: {exc}") from None
+                    continue  # a row of blank cells
+                ids.append(id_)
+        except csv.Error as exc:  # a malformed line, say a field over csv.field_size_limit
+            raise SchemaError(f"line {reader.line_num}: {exc}") from None
+    if not ids:
+        raise SchemaError("study file contains a header but no data rows")
+    return StudyTable(tuple(ids), tuple(memoryview(col).toreadonly() for col in columns))

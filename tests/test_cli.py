@@ -475,6 +475,11 @@ class TestArithmeticErrors:
     @pytest.mark.parametrize("method, rows, message", [
         ("pooled", "a,1e200,1\n", "the S-value at z = 1e+200 overflows"),
         ("compare", "a,1e200,1\n", "the S-value at z = 1e+200 overflows"),
+        # each study's z is finite; the pooled z is not
+        ("pooled", "a,1.7e308,1\n" * 3,
+         "the pooled z-score (pooled estimate - null) / pooled se overflows"),
+        ("compare", "a,1.7e308,1\n" * 3,
+         "the pooled z-score (pooled estimate - null) / pooled se overflows"),
         ("compare", "a,1.3e154,1\nb,-1.3e154,1\n", "the S-summation statistic 2 s_plus overflows"),
         # the pooled z is 0; study a's own z^2 overflows
         ("compare", "a,1.4e154,1\nb,-1.4e154,1\n",

@@ -2,12 +2,14 @@
 
 import csv
 import math
+import random
 import re
 from array import array
 from collections.abc import Sequence
 
 import pytest
 
+from svalue import combine
 from svalue.combine import (
     Z_SQUARED_DF_CAVEAT,
     SchemaError,
@@ -21,7 +23,7 @@ from svalue.combine import (
 )
 from svalue.units import PValue
 
-from oracles import chisq_survival_closed_form_even, phi
+from oracles import chisq_survival_closed_form_even, phi, studies_from_csv_by_rows
 
 
 def ids(k):
@@ -272,6 +274,13 @@ class TestPooled:
             pooled_homogeneity_test(effect_studies((1e200, 1.0)))
 
     @pytest.mark.parametrize("test", [pooled_homogeneity_test, compare_methods])
+    def test_overflowing_pooled_z_is_named(self, test):
+        # each study's z is 1.7e308, finite; the pooled z, 1.7e308 sqrt 3, is not
+        message = "the pooled z-score (pooled estimate - null) / pooled se overflows"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            test(effect_studies(*[(1.7e308, 1.0)] * 3))
+
+    @pytest.mark.parametrize("test", [pooled_homogeneity_test, compare_methods])
     @pytest.mark.parametrize("null", [math.nan, math.inf, -math.inf])
     def test_non_finite_null_rejected(self, test, null):
         with pytest.raises(ValueError, match="null value must be finite"):
@@ -340,6 +349,51 @@ class TestCompareMethods:
     def test_overflowing_s_value_is_refused(self, rows, message):
         with pytest.raises(OverflowError, match=f"^{re.escape(message)}"):
             compare_methods(effect_studies(*rows))
+
+
+def effect_columns(rnd, k, scale=1.0):
+    """Seeded estimates and std errors of K studies, each std error in (1/e, e) times scale."""
+    se = [math.exp(rnd.uniform(-1.0, 1.0)) * scale for _ in range(k)]
+    delta = rnd.choice([0.0, 0.3, 3.0])  # the true z of every study, before its noise
+    return [(delta + rnd.gauss(0.0, 1.0)) * s for s in se], se
+
+
+class TestCombineIdentities:
+    """Identities that tie the routes to each other; every sum in them is an fsum."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_records_do_not_depend_on_study_order(self, seed):
+        rnd = random.Random(f"order/{seed}")
+        k = rnd.randint(1, 1000)
+        ps = [1.0 - rnd.random() for _ in range(k)]
+        estimates, std_errors = effect_columns(rnd, k, rnd.choice([1e-200, 1.0, 1e200]))
+        order = rnd.sample(range(k), k)
+
+        def records(ps, estimates, std_errors):
+            effects = StudyTable.from_columns(ids(k), estimates, std_errors)
+            return (s_summation_test(StudyTable.from_columns(ids(k), ps)),
+                    z_squared_test([e / se for e, se in zip(estimates, std_errors)]),
+                    pooled_homogeneity_test(effects), compare_methods(effects))
+
+        shuffled = ([col[i] for i in order] for col in (ps, estimates, std_errors))
+        assert records(ps, estimates, std_errors) == records(*shuffled)
+
+    def test_z2_statistic_is_pooled_z_squared_plus_cochran_q(self):
+        # sum z_k^2 = z_pooled^2 + Q, with Q = sum w (e - pooled estimate)^2 and w = 1 / se^2,
+        # Cochran's heterogeneity statistic on K - 1 df
+        worst = 0.0
+        for i in range(200):
+            rnd = random.Random(f"partition/{i}")
+            k = (2, 1000)[i] if i < 2 else round(math.exp(rnd.uniform(math.log(2), math.log(1000))))
+            estimates, std_errors = effect_columns(rnd, k)
+            if i % 4 == 0:  # estimates near 1e150, z^2 near 1e300
+                estimates = [e * 1e150 for e in estimates]
+            pooled = pooled_homogeneity_test(StudyTable.from_columns(ids(k), estimates, std_errors))
+            q = math.fsum(1.0 / se**2 * (e - pooled.pooled_estimate) ** 2
+                          for e, se in zip(estimates, std_errors))
+            z2 = z_squared_test([e / se for e, se in zip(estimates, std_errors)]).statistic
+            worst = max(worst, abs(z2 - (pooled.z**2 + q)) / z2)
+        assert worst <= 2e-15
 
 
 class TestCsvIngestion:
@@ -433,6 +487,151 @@ class TestCsvIngestion:
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             studies_from_csv(tmp_path / "nope.csv")
+
+
+def plain_lines(form, seed, estimate=None):
+    """Seeded plain rows, each line ended by a newline, that fill two full blocks of the
+    reader and at least 2000 characters more; every estimate is `estimate` if one is given."""
+    rnd, lines, chars = random.Random(f"{form}/{seed}"), [], 0
+    while chars <= 2 * combine._BLOCK_CHARS + 2000:
+        if form == "p":
+            line = f"s{len(lines)},{1.0 - rnd.random()!r}\n"
+        else:
+            se = math.exp(rnd.uniform(-3.0, 3.0))
+            line = f"s{len(lines)},{estimate or rnd.gauss(0.0, 1.0) * se!r},{se!r}\n"
+        lines.append(line)
+        chars += len(line)
+    return lines
+
+
+def block_starts(lines):
+    """The indices of the lines that start a block after the header: readlines stops once
+    its lines pass the size hint."""
+    starts, chars = [0], 0
+    for i, line in enumerate(lines):
+        chars += len(line)
+        if chars > combine._BLOCK_CHARS:
+            starts.append(i + 1)
+            chars = 0
+    return starts
+
+
+def read_both(path):
+    """The table or the SchemaError text that the library reader and the row-loop reference
+    give for `path`, checked to be the same."""
+    results = []
+    for read in (studies_from_csv, studies_from_csv_by_rows):
+        try:
+            table = read(path)
+            results.append((table.ids, [bytes(col) for col in table.columns]))
+        except SchemaError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
+    return results[0]
+
+
+HEADERS = {"p": "id,p", "effect": "id,estimate,std_error"}
+LIMIT = csv.field_size_limit()
+IRREGULAR = {  # one line that the block reader must leave to the csv row loop
+    "p": {
+        "blank-line": "\n",
+        "blank-cells": " , \n",
+        "quoted-id": '"x,\ny",0.5\n',
+        "quoted-plain-id": '"x ""y""",0.5\n',  # csv reads the id x "y"
+        "nul-in-id": "x\0y,0.5\n",
+        "field-over-limit": "x" * (LIMIT + 1) + ",0.5\n",
+        "line-over-limit": "x" * (LIMIT - 1) + ",0.5\n",
+        "p-zero": "x,0\n",
+        "p-nan": "x,nan\n",
+        "p-underflows": "x,1e-400\n",
+        "not-a-number": "x,zero\n",
+        "three-fields": "x,0.5,9\n",
+        "one-field": "x\n",
+    },
+    "effect": {
+        "blank-cells": ",,\n",
+        "quoted-id": '"x,\ny",0.3,0.1\n',
+        "quoted-plain-id": '"x ""y""",0.3,0.1\n',
+        "se-zero": "x,0.3,0\n",
+        "estimate-inf": "x,inf,1\n",
+        "two-fields": "x,0.3\n",
+    },
+}
+
+
+class TestCsvBlocks:
+    """studies_from_csv reads blocks of plain rows in bulk; what it reads equals the csv row
+    loop's reading of the whole file, table or error, wherever the first irregular line is."""
+
+    @pytest.mark.parametrize("form, kind", [(f, k) for f in IRREGULAR for k in IRREGULAR[f]])
+    @pytest.mark.parametrize("where", ["block-start", "mid-block", "last-line"])
+    def test_irregular_line_after_two_blocks(self, tmp_path, form, kind, where):
+        lines = plain_lines(form, kind)
+        at = block_starts(lines)[2] + (where == "mid-block") * 7
+        if where == "last-line":
+            lines = lines[:at]
+        lines.insert(at, IRREGULAR[form][kind])
+        path = tmp_path / "s.csv"
+        path.write_text(HEADERS[form] + "\n" + "".join(lines), encoding="utf-8", newline="")
+        read_both(path)
+
+    @pytest.mark.parametrize("form", ["p", "effect"])
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("kind", ["plain", "blank-cells", "quoted-id"])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_line_endings(self, tmp_path, form, end, kind, final_newline):
+        lines = plain_lines(form, end)
+        if kind != "plain":
+            lines.insert(block_starts(lines)[2], IRREGULAR[form][kind])
+        text = (HEADERS[form] + "\n" + "".join(lines)).replace("\n", end)
+        path = tmp_path / "s.csv"
+        path.write_text(text if final_newline else text.removesuffix(end), encoding="utf-8",
+                        newline="")
+        ids_, _ = read_both(path)
+        assert len(ids_) == len(lines) - (kind == "blank-cells")
+
+    @pytest.mark.parametrize("estimate", [1e308, -1e308])
+    def test_estimates_whose_plain_sum_overflows(self, tmp_path, estimate):
+        lines = plain_lines("effect", "huge", estimate=estimate)
+        path = tmp_path / "s.csv"
+        path.write_text("id,estimate,std_error\n" + "".join(lines), encoding="utf-8")
+        ids_, (estimates, _) = read_both(path)
+        assert len(ids_) == len(lines) and set(array("d", estimates)) == {estimate}
+
+    def test_error_names_the_physical_line_after_bulk_blocks(self, tmp_path):
+        lines = plain_lines("p", "lines")
+        lines.insert(block_starts(lines)[2] + 3, '"x\ny",0.5\n')
+        lines.append("x,zero\n")
+        path = tmp_path / "s.csv"
+        path.write_text("id,p\n" + "".join(lines), encoding="utf-8")
+        line = len(lines) + 2  # the header, and the quoted id's second line
+        assert read_both(path) == f"line {line}: could not convert string to float: 'zero'"
+
+    @pytest.mark.parametrize("form", ["p", "effect"])
+    def test_plain_file_builds_no_csv_rows_past_the_header(self, tmp_path, monkeypatch, form):
+        rows, csv_reader = [], csv.reader
+
+        class CountingReader:
+            def __init__(self, lines):
+                self.reader = csv_reader(lines)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                rows.append(next(self.reader))
+                return rows[-1]
+
+            @property
+            def line_num(self):
+                return self.reader.line_num
+
+        monkeypatch.setattr(combine.csv, "reader", CountingReader)
+        lines = plain_lines(form, "count")
+        path = tmp_path / "s.csv"
+        path.write_text(HEADERS[form] + "\n" + "".join(lines), encoding="utf-8")
+        assert len(studies_from_csv(path)) == len(lines)
+        assert rows == [HEADERS[form].split(",")]
 
 
 class TestStudyTable:
