@@ -60,6 +60,7 @@ class Study(NamedTuple):
 
 P_COLUMNS = ("id", "p")
 EFFECT_COLUMNS = ("id", "estimate", "std_error")
+_HEADERS = f"{','.join(P_COLUMNS)} or {','.join(EFFECT_COLUMNS)}"  # for header errors
 _BLOCK_CHARS = 1 << 16  # the size hint of each block of lines that studies_from_csv reads
 
 
@@ -73,13 +74,8 @@ class StudyTable:
     ids: Sequence[str]
     columns: tuple[Sequence[float], ...]
 
-    def __init__(self, ids: Sequence[str], columns: tuple[Sequence[float], ...]) -> None:
-        if not (ids and len(columns) in (1, 2) and all(  # O(1): the builders checked each study
-                isinstance(c, memoryview) and c.readonly and c.format == "d"
-                and len(c) == len(ids) for c in columns)):
-            raise TypeError("build a StudyTable with studies_from_csv or StudyTable.from_columns")
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "columns", columns)
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        raise TypeError("build a StudyTable with studies_from_csv or StudyTable.from_columns")
 
     def __setattr__(self, name: str, *value: object) -> None:
         raise AttributeError(f"a StudyTable is read-only: cannot set or delete {name!r}")
@@ -92,15 +88,17 @@ class StudyTable:
         checked as `studies_from_csv` checks a row."""
         if len(columns) not in (1, 2):
             raise TypeError("from_columns takes ids and either p or estimate, std_error")
+        if isinstance(ids, (str, bytes)):
+            raise TypeError(f"from_columns takes a sequence of str ids, not {type(ids).__name__}")
         ids, columns = tuple(ids), [array("d", col) for col in columns]
+        if bad := [id_ for id_ in ids if not isinstance(id_, str)]:
+            raise TypeError(f"study ids must be str, got {bad[0]!r}")
         if not ids:
             raise ValueError("a StudyTable needs at least one study")
         if any(len(col) != len(ids) for col in columns):
             raise ValueError(f"{len(ids)} ids but columns of {[len(c) for c in columns]} values")
-        check = _check_effect if len(columns) == 2 else lambda id_, p: _check_p(p)
-        for row in zip(ids, *columns):
-            check(*row)
-        return cls(ids, tuple(memoryview(col).toreadonly() for col in columns))
+        _check_studies(ids, columns)
+        return _table(ids, columns)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -110,6 +108,20 @@ class StudyTable:
         if len(self.columns) == 1:
             return (Study(id_, p) for id_, p in rows)
         return (Study(id_, None, estimate, std_error) for id_, estimate, std_error in rows)
+
+
+def _table(ids: tuple[str, ...], columns: Sequence[array]) -> StudyTable:
+    """The one maker of a StudyTable, from `ids` and columns that _check_studies passed."""
+    table = object.__new__(StudyTable)
+    object.__setattr__(table, "ids", ids)
+    object.__setattr__(table, "columns", tuple(memoryview(col).toreadonly() for col in columns))
+    return table
+
+
+def _check_studies(ids: Sequence[str], columns: Sequence[Sequence[float]]) -> None:
+    """The one check of studies, by _check_p or _check_effect: raises the first one's error."""
+    checks = map(_check_effect, ids, *columns) if columns[1:] else map(_check_p, columns[0])
+    deque(checks, 0)  # runs each study's check
 
 
 def _columns(studies: StudyTable, test: str, p_form: bool) -> tuple:
@@ -315,8 +327,7 @@ def _read_plain(block: list[str], ids: list[str], columns: list[array]) -> bool:
     try:
         new_ids = list(map(str.strip, fields[0::width]))
         new = [array("d", map(float, fields[k::width])) for k in range(1, width)]
-        checks = map(_check_effect, new_ids, *new) if new[1:] else map(_check_p, new[0])
-        deque(checks, 0)  # runs each study's check
+        _check_studies(new_ids, new)
     except ValueError:
         return False
     ids += new_ids
@@ -342,17 +353,10 @@ def studies_from_csv(path: str | os.PathLike) -> StudyTable:
         try:
             header = next(reader, None)
             if header is None:
-                raise SchemaError(
-                    f"empty study file; expected header {','.join(P_COLUMNS)} or "
-                    f"{','.join(EFFECT_COLUMNS)}"
-                )
+                raise SchemaError(f"empty study file; expected header {_HEADERS}")
             header = tuple(h.strip().lower() for h in header)
             if header not in (P_COLUMNS, EFFECT_COLUMNS):
-                raise SchemaError(
-                    f"unrecognized columns {list(header)}; expected "
-                    f"{','.join(P_COLUMNS)} or {','.join(EFFECT_COLUMNS)}"
-                )
-            p_form = header == P_COLUMNS
+                raise SchemaError(f"unrecognized columns {list(header)}; expected {_HEADERS}")
             ids, columns = [], [array("d") for _ in header[1:]]
             lines_before = reader.line_num
             while (block := fh.readlines(_BLOCK_CHARS)) and _read_plain(block, ids, columns):
@@ -362,22 +366,17 @@ def studies_from_csv(path: str | os.PathLike) -> StudyTable:
                 try:
                     if len(row) != len(header):
                         raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                    id_ = row[0].strip()
-                    if p_form:
-                        columns[0].append(_check_p(float(row[1])))
-                    else:
-                        estimate, std_error = float(row[1]), float(row[2])
-                        _check_effect(id_, estimate, std_error)
-                        columns[0].append(estimate)
-                        columns[1].append(std_error)
+                    id_, values = row[0].strip(), [float(v) for v in row[1:]]
+                    _check_studies((id_,), [(v,) for v in values])
                 except ValueError as exc:
                     if any(cell.strip() for cell in row):
-                        raise SchemaError(
-                            f"line {lines_before + reader.line_num}: {exc}") from None
+                        raise SchemaError(f"line {lines_before + reader.line_num}: {exc}") from None
                     continue  # a row of blank cells
                 ids.append(id_)
+                for col, v in zip(columns, values):
+                    col.append(v)
         except csv.Error as exc:  # a malformed line, say a field over csv.field_size_limit
             raise SchemaError(f"line {lines_before + reader.line_num}: {exc}") from None
     if not ids:
         raise SchemaError("study file contains a header but no data rows")
-    return StudyTable(tuple(ids), tuple(memoryview(col).toreadonly() for col in columns))
+    return _table(tuple(ids), columns)

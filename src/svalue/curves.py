@@ -41,7 +41,24 @@ class CurvePoint(NamedTuple):
 
 def curve_point(spec: EstimateSpec, mu1: float, unit: InfoUnit = InfoUnit.BITS) -> CurvePoint:
     """The one-sided and two-sided P-/S-values at one hypothesized value mu1."""
-    return _point(spec.estimate, spec.std_error, mu1, unit.nats_per_unit, unit)
+    if not math.isfinite(mu1):
+        raise ValueError(f"mu1 must be finite, got {mu1!r}")
+    return _points(spec, [mu1], unit)[0]
+
+
+def _points(spec: EstimateSpec, grid: list[float], unit: InfoUnit) -> list[CurvePoint]:
+    """curve_point at each mu1 of grid; a z-score that overflows is refused, naming its mu1."""
+    estimate, std_error, k = spec.estimate, spec.std_error, unit.nats_per_unit
+    try:
+        return [_point(estimate, std_error, mu1, k, unit) for mu1 in grid]
+    except OverflowError:
+        for mu1 in grid:  # the point that raised is the first whose z^2 overflows
+            if math.isinf(z := (estimate - mu1) / std_error):
+                raise OverflowError(f"the z-score (estimate - mu1) / std_error overflows at "
+                                    f"mu1 = {mu1!r}") from None
+            if math.isinf(z * z):
+                break
+        raise
 
 
 def _point(estimate: float, std_error: float, mu1: float, k: float, unit: InfoUnit) -> CurvePoint:
@@ -80,5 +97,4 @@ def curve(
     n = steps - 1
     # the grid point from_ + width * i / n, or (width / n) * i where width * i overflows
     grid = [from_ + (x / n if (x := width * i) < math.inf else width / n * i) for i in range(n)]
-    estimate, std_error, k = spec.estimate, spec.std_error, unit.nats_per_unit
-    return [_point(estimate, std_error, mu1, k, unit) for mu1 in grid + [to]]
+    return _points(spec, grid + [to], unit)

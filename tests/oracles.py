@@ -115,8 +115,7 @@ def binomial_tails_exact(trials: int, theta0: float) -> list[float]:
 def studies_from_csv_by_rows(path):
     """svalue.combine.studies_from_csv as one csv row loop over the whole file, with no
     block read: the library's reader must give the same table, or raise the same error."""
-    from svalue.combine import (EFFECT_COLUMNS, P_COLUMNS, SchemaError, StudyTable,
-                                _check_effect)
+    from svalue.combine import EFFECT_COLUMNS, P_COLUMNS, SchemaError, _check_effect, _table
     from svalue.units import _check_p
 
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -157,4 +156,4 @@ def studies_from_csv_by_rows(path):
             raise SchemaError(f"line {reader.line_num}: {exc}") from None
     if not ids:
         raise SchemaError("study file contains a header but no data rows")
-    return StudyTable(tuple(ids), tuple(memoryview(col).toreadonly() for col in columns))
+    return _table(tuple(ids), columns)

@@ -501,6 +501,16 @@ class TestArithmeticErrors:
         assert err == ("error: the S-value at z = 9.999999999999999e+299 overflows: "
                        "z^2 is past the largest double\n")
 
+    @pytest.mark.parametrize("argv, mu1", [
+        (["--estimate=1.7e308", "--se=1", "--from=-1.7e308", "--to=0"], "-1.7e+308"),
+        (["--estimate=1e308", "--se=1e-10", "--from=0", "--to=1"], "0.0"),
+    ])
+    def test_curve_z_overflow_names_mu1(self, capsys, argv, mu1):
+        code, out, err = run(capsys, "curve", *argv, "--steps=2")
+        assert (code, out) == (2, "")
+        assert err == ("error: the z-score (estimate - mu1) / std_error overflows at "
+                       f"mu1 = {mu1}\n")
+
     @pytest.mark.parametrize("method", ["compare", "z2"])
     def test_overflowing_study_z_names_the_study(self, capsys, tmp_path, method):
         # the pooled z is 1e300, finite; study a's own z overflows

@@ -79,6 +79,17 @@ class TestStudyResult:
         with pytest.raises(ValueError, match="^2 ids but columns of"):
             StudyTable.from_columns(["a", "b"], *columns)
 
+    @pytest.mark.parametrize("ids, message", [
+        ("ab", "^from_columns takes a sequence of str ids, not str$"),
+        (b"ab", "^from_columns takes a sequence of str ids, not bytes$"),
+        ([1, None], "^study ids must be str, got 1$"),
+        (["a", None], "^study ids must be str, got None$"),
+        (("a", b"b"), "^study ids must be str, got b'b'$"),
+    ])
+    def test_ids_must_be_str(self, ids, message):
+        with pytest.raises(TypeError, match=message):
+            StudyTable.from_columns(ids, [0.1, 0.2])
+
 
 class TestSSummation:
     def test_single_study_is_identity(self):
@@ -686,10 +697,16 @@ class TestStudyTable:
         (("a",), (memoryview(array("f", [0.5])).toreadonly(),)),
         (("a",), ()),
         ((), (memoryview(array("d")).toreadonly(),)),
+        # builder-shaped columns whose P-values from_columns would refuse
+        (("a", "b"), (memoryview(array("d", [math.nan, 2.0])).toreadonly(),)),
+        # the columns of a table that the builders made
+        (("a",), StudyTable.from_columns(["a"], [0.5]).columns),
     ])
     def test_bare_constructor_takes_only_builder_columns(self, ids, columns):
         with pytest.raises(TypeError, match="studies_from_csv or StudyTable.from_columns$"):
             StudyTable(ids, columns)
+        with pytest.raises(TypeError, match="studies_from_csv or StudyTable.from_columns$"):
+            StudyTable(ids=ids, columns=columns)
 
     @pytest.mark.parametrize("header, rows", [
         ("id,p", [(0.5,), (1e-300,), (1.0,)]),

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -145,6 +146,30 @@ class TestCurve:
     def test_invalid_grids(self, frm, to, steps):
         with pytest.raises(ValueError, match="grid|steps"):
             curve(EstimateSpec(0.0, 1.0), frm, to, steps)
+
+    @pytest.mark.parametrize("spec, frm, to, mu1", [
+        (EstimateSpec(1.7e308, 1.0), -1.7e308, 0.0, -1.7e308),
+        (EstimateSpec(1e308, 1e-10), 0.0, 1.0, 0.0),
+        # the first point is fine; the second point's z overflows
+        (EstimateSpec(0.0, 1e-300), -1e-146, 1e10, 1e10),
+    ])
+    def test_overflowing_z_names_mu1(self, spec, frm, to, mu1):
+        message = re.escape(f"the z-score (estimate - mu1) / std_error overflows at mu1 = {mu1!r}")
+        with pytest.raises(OverflowError, match=f"^{message}$"):
+            curve(spec, frm, to, 2)
+        with pytest.raises(OverflowError, match=f"^{message}$"):
+            curve_point(spec, mu1)
+
+    def test_overflowing_z_squared_names_z(self):
+        # the first point's z = 1.4e154 is finite and its z^2 is not, so the kernel's message
+        # stands, though the second point's z = -3.4e308 overflows
+        with pytest.raises(OverflowError, match=r"^the S-value at z = 1.4e\+154 overflows: z\^2"):
+            curve(EstimateSpec(7e153, 0.5), 0.0, 1.7e308, 2)
+
+    @pytest.mark.parametrize("mu1", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mu1(self, mu1):
+        with pytest.raises(ValueError, match=f"^mu1 must be finite, got {mu1!r}$"):
+            curve_point(EstimateSpec(0.0, 1.0), mu1)
 
     def test_rows_are_curve_points(self):
         pts = curve(EstimateSpec(0.0, 1.0), -1.0, 1.0, 3)

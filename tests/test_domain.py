@@ -135,6 +135,10 @@ KNOWN_FAILURES = [
     # the deviance z^2 at p = 1e-320 is finite, where the MLR exp(z^2 / 2) overflows
     pytest.param(lambda: calibration_report(PValue(1e-320)).deviance,
                  1465.91130467758508879174, id="item3-calibrate-tiny-p"),
+    # the deviance 2 ln exp(z^2 / 2) near p = 1, where exp rounds z^2 / 2 away: 1.05 % off
+    # here (mpmath 1.3.0, 60 digits, from the double 0.9999999)
+    pytest.param(lambda: calibration_report(PValue(0.9999999)).deviance,
+                 1.570796325141309179725735e-14, id="item3-calibrate-deviance-near-1"),
     # S past ~745 nats has no P, but coin_tosses is round(S in bits)
     pytest.param(lambda: _cli_json("convert", "--s=2000", "--from-unit=nats")["coin_tosses"],
                  2885, id="item3-convert-s-2000-nats"),
