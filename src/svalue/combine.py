@@ -82,6 +82,10 @@ class StudyTable:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self) -> tuple:
+        """Copy and pickle through from_columns, so a rebuilt table is checked again."""
+        return StudyTable.from_columns, (self.ids, *(array("d", col) for col in self.columns))
+
     @classmethod
     def from_columns(cls, ids: Sequence[str], *columns: Sequence[float]) -> StudyTable:
         """The studies `ids` with a p column or estimate and std_error columns, each study
@@ -336,12 +340,22 @@ def _read_plain(block: list[str], ids: list[str], columns: list[array]) -> bool:
     return True
 
 
+def _undecodable_line(path: str | os.PathLike) -> int:
+    """The number of the first line of the file at path that is not UTF-8, lines counted as
+    studies_from_csv counts them; the file is read again, on this error path alone."""
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        # surrogateescape decodes each byte that is not UTF-8 to one of U+DC80 .. U+DCFF
+        bad = (n for n, line in enumerate(fh, 1) if any("\udc80" <= c <= "\udcff" for c in line))
+        return next(bad)
+
+
 def studies_from_csv(path: str | os.PathLike) -> StudyTable:
     """Read a study table: header `id,p` or `id,estimate,std_error` (UTF-8, optional BOM).
 
     Rows are validated straight into columns; rows of blank cells are skipped.
     Raises SchemaError on any layout or value problem, naming the physical line
-    where the offending record ends; I/O errors propagate.
+    where the offending record ends, or for a byte that is not UTF-8 the line that
+    holds it; I/O errors propagate.
 
     After the header, blocks of about _BLOCK_CHARS characters of plain rows are read in
     bulk (see _read_plain). The first other block and the rest of the file go to the csv
@@ -377,6 +391,9 @@ def studies_from_csv(path: str | os.PathLike) -> StudyTable:
                     col.append(v)
         except csv.Error as exc:  # a malformed line, say a field over csv.field_size_limit
             raise SchemaError(f"line {lines_before + reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:  # its position is in a read buffer, not the file
+            raise SchemaError(f"line {_undecodable_line(path)}: byte 0x{exc.object[exc.start]:02x}"
+                              f" is not UTF-8 ({exc.reason})") from None
     if not ids:
         raise SchemaError("study file contains a header but no data rows")
     return _table(tuple(ids), columns)

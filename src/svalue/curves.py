@@ -43,28 +43,19 @@ def curve_point(spec: EstimateSpec, mu1: float, unit: InfoUnit = InfoUnit.BITS) 
     """The one-sided and two-sided P-/S-values at one hypothesized value mu1."""
     if not math.isfinite(mu1):
         raise ValueError(f"mu1 must be finite, got {mu1!r}")
-    return _points(spec, [mu1], unit)[0]
-
-
-def _points(spec: EstimateSpec, grid: list[float], unit: InfoUnit) -> list[CurvePoint]:
-    """curve_point at each mu1 of grid; a z-score that overflows is refused, naming its mu1."""
-    estimate, std_error, k = spec.estimate, spec.std_error, unit.nats_per_unit
-    try:
-        return [_point(estimate, std_error, mu1, k, unit) for mu1 in grid]
-    except OverflowError:
-        for mu1 in grid:  # the point that raised is the first whose z^2 overflows
-            if math.isinf(z := (estimate - mu1) / std_error):
-                raise OverflowError(f"the z-score (estimate - mu1) / std_error overflows at "
-                                    f"mu1 = {mu1!r}") from None
-            if math.isinf(z * z):
-                break
-        raise
+    return _point(spec.estimate, spec.std_error, mu1, unit.nats_per_unit, unit)
 
 
 def _point(estimate: float, std_error: float, mu1: float, k: float, unit: InfoUnit) -> CurvePoint:
-    """curve_point at mu1, with k = unit.nats_per_unit."""
+    """curve_point at mu1, with k = unit.nats_per_unit; an overflowing z-score names mu1."""
     t = (estimate - mu1) / std_error
-    p_two, log_p_two = _two_sided_tail(t)  # 2 Phi(-|t|); its log stays finite where it underflows
+    try:
+        p_two, log_p_two = _two_sided_tail(t)  # 2 Phi(-|t|); its log stays finite on underflow
+    except OverflowError:
+        if math.isinf(t):
+            raise OverflowError(f"the z-score (estimate - mu1) / std_error overflows at "
+                                f"mu1 = {mu1!r}") from None
+        raise
     p_near = 0.5 * math.erfc(-abs(t) / _SQRT2)  # Phi(|t|): the one-sided P on the estimate's side
     p_ge, p_le = (p_near, 0.5 * p_two) if t >= 0.0 else (0.5 * p_two, p_near)
     # p_le below 2^-1022 is p_two / 2, so its log is the kernel's log of p_two less ln 2
@@ -97,4 +88,5 @@ def curve(
     n = steps - 1
     # the grid point from_ + width * i / n, or (width / n) * i where width * i overflows
     grid = [from_ + (x / n if (x := width * i) < math.inf else width / n * i) for i in range(n)]
-    return _points(spec, grid + [to], unit)
+    estimate, std_error, k = spec.estimate, spec.std_error, unit.nats_per_unit
+    return [_point(estimate, std_error, mu1, k, unit) for mu1 in grid + [to]]

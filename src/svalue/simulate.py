@@ -24,9 +24,10 @@ pmf ratios taken outward from the mode over their fsum, at every trial count
 (within 1e-12 relative of rational tails up to 2000 trials). The KS report
 partitions one copy of its samples into blocks of ranks; each thread sorts its
 block in place and scans it in chunks. One fan-out, `_on_threads`, runs both on
-up to one thread per CPU, each with at least THREAD_CHUNKS chunks. Memory is
-O(CHUNK) per thread (under 1 byte per draw for the simulations) plus the KS
-report's copy.
+up to one thread per CPU, each with at least THREAD_CHUNKS chunks: the calling
+thread and a `concurrent.futures.ThreadPoolExecutor`, imported only by a call
+that uses more than one thread. Memory is O(CHUNK) per thread (under 1 byte per
+draw for the simulations) plus the KS report's copy.
 
 Reproducibility contract: draws come from numpy's PCG64 bit generator seeded
 with SeedSequence(entropy=seed, spawn_key=(stream,)). The same (seed, stream)
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -193,30 +193,15 @@ def _parts(chunks: int) -> int:
 
 
 def _on_threads(parts: int, run) -> list:
-    """[run(0), .., run(parts - 1)]: run(0) on the calling thread, the others on helper
-    threads, every one joined before this returns; the lowest failing run's exception is raised."""
-    out: list = [None] * parts  # each run's result, or the exception it raised
+    """[run(0), .., run(parts - 1)]: run(0) on the calling thread, the others on a thread pool
+    joined before this returns; the lowest failing run's exception is raised."""
+    if parts == 1:
+        return [run(0)]
+    from concurrent.futures import ThreadPoolExecutor  # here, so one thread never loads it
 
-    def call(i: int) -> None:
-        try:
-            out[i] = run(i)
-        except BaseException as exc:
-            out[i] = exc
-
-    helpers = []
-    try:
-        for i in range(1, parts):
-            t = threading.Thread(target=call, args=(i,))
-            t.start()
-            helpers.append(t)
-        call(0)
-    finally:
-        for t in helpers:
-            t.join()
-    for r in out:
-        if isinstance(r, BaseException):
-            raise r
-    return out
+    with ThreadPoolExecutor(parts - 1) as pool:
+        rest = pool.map(run, range(1, parts))
+        return [run(0), *rest]
 
 
 def simulate_uniform_p(

@@ -1,7 +1,9 @@
 """Evidence-combination tests: worked values, invariants, noise accounting."""
 
+import copy
 import csv
 import math
+import pickle
 import random
 import re
 from array import array
@@ -474,6 +476,22 @@ class TestCsvIngestion:
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             studies_from_csv(f)
 
+    ROWS = b"".join(b"s%d,0.5\n" % i for i in range(100_000))  # about 1.1 MB, 17 blocks
+
+    @pytest.mark.parametrize("data, line, byte, reason", [
+        (b"id,p\n" + ROWS + b"x\xff,0.2\n", 100_002, "0xff", "invalid start byte"),
+        (b"\xef\xbb\xbfid,p\r" + ROWS.replace(b"\n", b"\r") + b"x,0.2\rx\xe9,0.2\r",
+         100_003, "0xe9", "invalid continuation byte"),
+        (b'id,p\n"a\nb",0.5\n' + ROWS + b"x,0.2\xc3", 100_004, "0xc3", "unexpected end of data"),
+        (b"id,p\xa0\n" + ROWS, 1, "0xa0", "invalid start byte"),
+    ], ids=["bulk-block", "bom-and-cr", "row-loop", "header"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, data, line, byte, reason):
+        f = tmp_path / "latin.csv"
+        f.write_bytes(data)
+        message = f"line {line}: byte {byte} is not UTF-8 ({reason})"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            studies_from_csv(f)
+
     @pytest.mark.parametrize("body", [
         "id,p\n,\na,0.5\n , \n , , \nb,0.25\n,\n",
         "id,estimate,std_error\n,,\na,0.3,0.1\n , , \n,\nb,-0.5,0.25\n",
@@ -717,6 +735,29 @@ class TestStudyTable:
         rebuilt = StudyTable.from_columns(table.ids, *table.columns)
         assert list(rebuilt) == list(table)
         assert rebuilt.ids == table.ids and rebuilt.columns == table.columns
+
+    @pytest.mark.parametrize("copier", [
+        copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t)),
+        lambda t: pickle.loads(pickle.dumps(t, protocol=0)),
+    ], ids=["copy", "deepcopy", "pickle", "pickle-0"])
+    @pytest.mark.parametrize("columns", [
+        ([0.5, 1e-300, 1.0],),
+        ([0.3, -1e300, 0.0], [0.1, 1e-300, 2.0]),
+    ], ids=["p", "effect"])
+    def test_copies_and_pickles_as_a_checked_table(self, monkeypatch, copier, columns):
+        table = StudyTable.from_columns(["a", "b", "c"], *columns)
+        checked, check = [], combine._check_studies
+        monkeypatch.setattr(combine, "_check_studies",
+                            lambda ids, cols: checked.append(ids) or check(ids, cols))
+        twin = copier(table)
+        assert type(twin) is StudyTable and twin is not table
+        assert checked == [("a", "b", "c")]  # rebuilt through from_columns' check
+        assert twin.ids == table.ids and twin.columns == table.columns
+        assert [list(col) for col in twin.columns] == [list(col) for col in columns]
+        with pytest.raises(AttributeError, match="read-only"):
+            twin.ids = ("x", "y", "z")
+        with pytest.raises(TypeError):
+            twin.columns[0][0] = 0.125
 
     def test_reading_and_combining_build_no_study_objects(self, tmp_path, monkeypatch):
         built = []

@@ -183,3 +183,20 @@ def test_a_cli_call_loads_only_its_own_module_and_writer(tmp_path, argv, home, f
     printed = {"simulate": "json", "curves": fmt.replace("table", "csv")}.get(home, fmt)
     assert json_loaded == (printed == "json")
     assert csv_loaded == (printed == "csv" or home == "combine")
+
+
+# A call on one thread, in a fresh -S interpreter: 1e5 draws are 2 chunks, 100 samples 1.
+ONE_THREAD_SCRIPT = """
+import site, sys
+sys.path.extend(site.getsitepackages())
+from svalue.simulate import RngSpec, distribution_report, simulate_uniform_p
+simulate_uniform_p(100_000, RngSpec(0))
+distribution_report([(i + 0.5) / 100 for i in range(100)], "uniform_01")
+print("concurrent.futures" in sys.modules)
+"""
+
+
+@pytest.mark.numpy
+def test_a_one_thread_simulation_imports_no_thread_pool():
+    pytest.importorskip("numpy")
+    assert run_fresh(ONE_THREAD_SCRIPT) == "False\n"

@@ -6,7 +6,6 @@ import sys
 import threading
 import time
 import tracemalloc
-import types
 
 import pytest
 
@@ -51,7 +50,7 @@ class LingeringThread(threading.Thread):
 def linger_threads(monkeypatch):
     """Make `simulate` start LingeringThreads, on 2 CPUs: 32 chunks give one helper thread."""
     force_cpus(monkeypatch, 2)
-    monkeypatch.setattr(simulate, "threading", types.SimpleNamespace(Thread=LingeringThread))
+    monkeypatch.setattr(threading, "Thread", LingeringThread)
 
 
 class TestRngSpec:
