@@ -36,8 +36,6 @@ __all__ = sorted(_HOME)
 def __getattr__(name: str) -> object:
     if name in _HOME:
         return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
-    if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -88,7 +88,9 @@ def _rename(record: dict, old: str, new: str) -> dict:
 def cmd_convert(args: argparse.Namespace) -> dict:
     if (args.p is None) == (args.s is None):
         raise ValueError("give exactly one of --p or --s (with --from-unit)")
-    value = PValue(args.p) if args.s is None else SValue(args.s, InfoUnit(args.from_unit))
+    if args.s is None and args.from_unit is not None:
+        raise ValueError("--from-unit goes with --s, not with --p")
+    value = PValue(args.p) if args.s is None else SValue(args.s, InfoUnit(args.from_unit or "bits"))
     return _record(conversion_report(value))
 
 
@@ -161,9 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convert", parents=[common], help="P-value <-> S-value conversions")
     p_conv.add_argument("--p", type=float, help="P-value in (0, 1]")
-    p_conv.add_argument("--s", type=float, help="S-value magnitude (requires --from-unit)")
-    p_conv.add_argument("--from-unit", choices=[u.value for u in InfoUnit], default="bits",
-                        help="unit of --s (default: bits)")
+    p_conv.add_argument("--s", type=float, help="S-value magnitude, in the unit --from-unit names")
+    p_conv.add_argument("--from-unit", choices=[u.value for u in InfoUnit],
+                        help="unit of --s, not given with --p (default: bits)")
     p_conv.set_defaults(func=cmd_convert)
 
     p_comb = sub.add_parser("combine", parents=[common], help="combine evidence across studies")

@@ -21,10 +21,11 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 from array import array
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
 from typing import NamedTuple
 
 from .specfun import ChiSquare, _two_sided_tail, log_chisq_survival
@@ -299,7 +300,8 @@ def compare_methods(studies: StudyTable, null_value: float = 0.0) -> MethodCompa
 
     Per-study P-values for the S-summation route are two-sided normal, from
     (estimate - null) / std_error; their surprisals stay finite where the P-values underflow.
-    Each study's z is checked first, then the pooled z.
+    Overflows are refused in this order: a study's infinite z, then the pooled z, then a
+    study whose z^2 overflows, then the S-summation statistic.
     """
     z_scores = _study_z_scores(studies, null_value, "compare_methods")
     pooled = pooled_homogeneity_test(studies, null_value)
@@ -345,8 +347,7 @@ def _undecodable_line(path: str | os.PathLike) -> int:
     studies_from_csv counts them; the file is read again, on this error path alone."""
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         # surrogateescape decodes each byte that is not UTF-8 to one of U+DC80 .. U+DCFF
-        bad = (n for n, line in enumerate(fh, 1) if any("\udc80" <= c <= "\udcff" for c in line))
-        return next(bad)
+        return next(compress(count(1), map(re.compile("[\udc80-\udcff]").search, fh)))
 
 
 def studies_from_csv(path: str | os.PathLike) -> StudyTable:

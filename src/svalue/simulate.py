@@ -82,8 +82,7 @@ class RngSpec(NamedTuple("RngSpec", [("seed", int), ("stream", int)])):
 
     def generator(self) -> np.random.Generator:
         np = _numpy()
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
-        return np.random.Generator(np.random.PCG64(seq))
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(self.stream,)))
 
 
 class SimulationSummary(NamedTuple):
@@ -117,13 +116,10 @@ class DistributionReport(NamedTuple):
 
 def _check_alphas(alphas: Sequence[float]) -> list[float]:
     """The distinct alpha levels in first-seen order, each checked to lie in (0, 1)."""
-    out = []
-    for a in alphas:
-        a = float(a)
+    out = list(dict.fromkeys(map(float, alphas)))
+    for a in out:
         if not 0.0 < a < 1.0:
             raise ValueError(f"alpha levels must lie in (0, 1), got {a!r}")
-        if a not in out:
-            out.append(a)
     return out
 
 
@@ -167,13 +163,8 @@ def _pool(groups: list[tuple], alphas: list[float]) -> SimulationSummary:
     notes = [f"n = {n} is below {LOW_N}; summary statistics are unreliable"] if n < LOW_N else []
     if se is None:  # n = 1, which is also below LOW_N
         notes.append("se_of_mean is undefined at n = 1")
-    rates: dict[float, float] = {}
-    violations = 0
-    for a, h in zip(alphas, map(sum, zip(*hits))):
-        rate = h / n
-        rates[a] = rate
-        if rate > a + 3.0 * math.sqrt(a * (1.0 - a) / n):
-            violations += 1
+    rates = {a: h / n for a, h in zip(alphas, map(sum, zip(*hits)))}
+    violations = sum(rate > a + 3.0 * math.sqrt(a * (1.0 - a) / n) for a, rate in rates.items())
     return SimulationSummary(
         n=n,
         mean_s_nats=mean_nats,

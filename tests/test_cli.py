@@ -58,6 +58,17 @@ class TestConvert:
         if argv[1] == "745":  # 1074.81 bits, where the rounded P, 5e-324, gives 1074
             assert payload["coin_tosses"] == 1075
 
+    def test_from_unit_with_p_is_refused(self, capsys):
+        code, out, err = run(capsys, "convert", "--p", "0.05", "--from-unit", "nats",
+                             "--format", "json")
+        assert (code, out, err) == (2, "", "error: --from-unit goes with --s, not with --p\n")
+
+    def test_s_without_from_unit_is_in_bits(self, capsys):
+        code, out, _ = run(capsys, "convert", "--s", "3", "--format", "json")
+        assert code == 0
+        payload = strict_json(out)
+        assert (payload["s_bits"], payload["p"]) == (3.0, pytest.approx(0.125, rel=1e-15, abs=0))
+
     def test_p_zero_is_domain_error(self, capsys):
         code, _, err = run(capsys, "convert", "--p", "0")
         assert code == 2
@@ -433,6 +444,17 @@ class TestArithmeticErrors:
         assert (payload["n"], payload["trials"]) == (1000, 2000)
         assert payload["dominance_violations"] == 0
         assert payload["mean_s_nats"] <= 1.0 + 3.0 * payload["se_of_mean"]
+
+    def test_a_kernel_that_does_not_converge(self, capsys, tmp_path, monkeypatch):
+        from svalue import specfun
+        monkeypatch.setattr(specfun, "MAX_ITER", -10**9)  # no iteration at all
+        f = tmp_path / "p.csv"
+        f.write_text("id,p\na,0.05\nb,0.2\n", encoding="utf-8")
+        code, out, err = run(capsys, "combine", "--input", str(f), "--method", "s-sum")
+        assert (code, out) == (2, "")
+        # ln Q(k, s_plus) with k = 2 studies and s_plus = -ln 0.05 - ln 0.2 = ln 100
+        assert err == ("error: incomplete gamma continued fraction did not converge "
+                       "(a=2.0, x=4.605170185988091)\n")
 
     def test_pooled_tiny_std_error(self, capsys, tmp_path):
         # scale-free weights: the same z and S as the unscaled (0.3, 1), (0.5, 2)

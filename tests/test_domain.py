@@ -5,7 +5,7 @@ Every input gets one of two outcomes: exit 0 with only finite numbers on stdout
 and a note for each field left empty (JSON `notes`, a `note:` line on stderr for
 CSV and tables), or exit 2 with an empty stdout and one `error:` line on stderr.
 `test_known_failure` lists the inputs whose answer is still wrong. Nothing here
-imports numpy.
+imports numpy but the simulate sweep, which runs under the `numpy` marker.
 """
 
 import contextlib
@@ -115,6 +115,40 @@ def test_finite_answer_or_exit_2(tmp_path, capsys):
         if not ok:
             broken.append((argv, code, out, err))
     assert not broken, f"{len(broken)} of {N_CALLS} calls broke the contract, first: {broken[0]}"
+
+
+# simulate's edges: n at 1, 2 and either side of LOW_N; alphas next to 0 and 1; trial
+# counts past 1030, where the tails once overflowed; theta0 next to 0 and 1.
+SIMULATE_ALPHAS = ("0.01,0.05,0.1", "1e-300,0.999999999999", "0.5")
+SIMULATE_CALLS = [
+    *([f"--n={n}", f"--alphas={alphas}"] for n in (1, 2, 999, 1000) for alphas in SIMULATE_ALPHAS),
+    *(["--generator=binomial", f"--n={n}", f"--trials={trials}", f"--theta0={theta0!r}"]
+      for trials in (1, 2, 1000, 2000, 5000) for theta0 in (1e-12, 0.5, 1.0 - 1e-12)
+      for n in (1, 1000)),
+]
+
+
+@pytest.mark.numpy
+def test_simulate_finite_answer_or_exit_2(capsys):
+    rnd = random.Random(20261020)  # its own, so the routes above draw what they drew before
+    broken = []
+    for args in SIMULATE_CALLS:
+        argv = ["simulate", *args, f"--seed={rnd.getrandbits(64)}",
+                f"--stream={rnd.randrange(100)}"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if code == 0:  # simulate prints JSON in every format
+            try:
+                payload = json.loads(out, parse_constant=_reject_constant)
+                ok = not _holds_null(payload) or bool(payload["notes"])
+            except (ValueError, TypeError, KeyError):
+                ok = False
+        else:
+            ok = (code, out) == (2, "") and len(err.splitlines()) == 1 and err.startswith("error: ")
+        if not ok:
+            broken.append((argv, code, out, err))
+    assert not broken, (f"{len(broken)} of {len(SIMULATE_CALLS)} calls broke the contract, "
+                        f"first: {broken[0]}")
 
 
 def _cli_json(*argv):

@@ -146,6 +146,26 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect(fresh_import):
     assert [m for m in fresh_import["heavy"] if m in ("dataclasses", "inspect")] == []
 
 
+# A fresh -S interpreter: an exported name loads its home module alone, and a submodule
+# is an attribute of the package once it is imported, as for any package.
+SUBMODULE_ATTRIBUTE_SCRIPT = """
+import site, sys
+sys.path.extend(site.getsitepackages())
+import svalue
+svalue.PValue
+loaded = sorted(m for m in sys.modules if m.startswith("svalue."))
+before = hasattr(svalue, "simulate")
+import svalue.simulate
+print(repr((loaded, before, svalue.simulate is sys.modules["svalue.simulate"])))
+"""
+
+
+def test_a_submodule_is_an_attribute_once_imported():
+    loaded, before, after = ast.literal_eval(run_fresh(SUBMODULE_ATTRIBUTE_SCRIPT))
+    assert loaded == ["svalue.specfun", "svalue.units"]
+    assert (before, after) == (False, True)
+
+
 # One CLI call in a fresh -S interpreter. It reports what the call loaded, from an
 # interpreter that has loaded neither json nor csv before main runs.
 CLI_CALL_SCRIPT = """

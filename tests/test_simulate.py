@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 import threading
 import time
@@ -15,6 +16,7 @@ from svalue.simulate import (
     LOW_N,
     THREAD_CHUNKS,
     RngSpec,
+    _check_alphas,
     _chunk_group,
     _ks_block,
     _pool,
@@ -68,6 +70,22 @@ class TestRngSpec:
     def test_validation(self, seed, stream):
         with pytest.raises(ValueError):
             RngSpec(seed, stream)
+
+    def test_a_stream_is_pcg64_seeded_by_seed_and_stream(self):
+        assert RngSpec(5, 6).generator().random(3).tolist() == [
+            0.2551469362614829, 0.05932341707181432, 0.13323398113429685]
+
+
+class TestCheckAlphas:
+    def test_distinct_levels_in_first_seen_order(self):
+        assert _check_alphas([0.1, 0.05, np.float64(0.05), 0.1, 0.01]) == [0.1, 0.05, 0.01]
+        assert [type(a) for a in _check_alphas([np.float64(0.05)])] == [float]
+
+    @pytest.mark.parametrize("alpha, shown", [(1.0, "1.0"), (math.nan, "nan")])
+    def test_a_level_outside_the_unit_interval_is_named(self, alpha, shown):
+        message = f"alpha levels must lie in (0, 1), got {shown}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            _check_alphas([0.05, alpha])
 
 
 class TestSimulateUniformP:

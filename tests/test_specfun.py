@@ -6,8 +6,10 @@ import re
 
 import pytest
 
+from svalue import specfun
 from svalue.specfun import (
     ChiSquare,
+    ConvergenceError,
     _two_sided_tail,
     log_chisq_survival,
     log_reg_gamma_upper,
@@ -151,6 +153,15 @@ class TestRegGammaUpper:
     @pytest.mark.parametrize("a,x", [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.nan)])
     def test_domain(self, a, x):
         with pytest.raises(ValueError):
+            log_reg_gamma_upper(a, x)
+
+    @pytest.mark.parametrize("a, x, message", [
+        (2.0, 1.0, "incomplete gamma series did not converge (a=2.0, x=1.0)"),  # x < a + 1
+        (2.0, 5.0, "incomplete gamma continued fraction did not converge (a=2.0, x=5.0)"),
+    ])
+    def test_a_kernel_that_does_not_converge_says_so(self, monkeypatch, a, x, message):
+        monkeypatch.setattr(specfun, "MAX_ITER", -10**9)  # no iteration at all
+        with pytest.raises(ConvergenceError, match=re.escape(message) + "$"):
             log_reg_gamma_upper(a, x)
 
 
