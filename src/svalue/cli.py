@@ -87,7 +87,7 @@ def _rename(record: dict, old: str, new: str) -> dict:
 
 def cmd_convert(args: argparse.Namespace) -> dict:
     if (args.p is None) == (args.s is None):
-        raise ValueError("give exactly one of --p or --s (with --from-unit)")
+        raise ValueError("give exactly one of --p or --s")
     if args.s is None and args.from_unit is not None:
         raise ValueError("--from-unit goes with --s, not with --p")
     value = PValue(args.p) if args.s is None else SValue(args.s, InfoUnit(args.from_unit or "bits"))

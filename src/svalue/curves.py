@@ -49,13 +49,9 @@ def curve_point(spec: EstimateSpec, mu1: float, unit: InfoUnit = InfoUnit.BITS) 
 def _point(estimate: float, std_error: float, mu1: float, k: float, unit: InfoUnit) -> CurvePoint:
     """curve_point at mu1, with k = unit.nats_per_unit; an overflowing z-score names mu1."""
     t = (estimate - mu1) / std_error
-    try:
-        p_two, log_p_two = _two_sided_tail(t)  # 2 Phi(-|t|); its log stays finite on underflow
-    except OverflowError:
-        if math.isinf(t):
-            raise OverflowError(f"the z-score (estimate - mu1) / std_error overflows at "
-                                f"mu1 = {mu1!r}") from None
-        raise
+    if math.isinf(t):
+        raise OverflowError(f"the z-score (estimate - mu1) / std_error overflows at mu1 = {mu1!r}")
+    p_two, log_p_two = _two_sided_tail(t)  # 2 Phi(-|t|); its log stays finite on underflow
     p_near = 0.5 * math.erfc(-abs(t) / _SQRT2)  # Phi(|t|): the one-sided P on the estimate's side
     p_ge, p_le = (p_near, 0.5 * p_two) if t >= 0.0 else (0.5 * p_two, p_near)
     # p_le below 2^-1022 is p_two / 2, so its log is the kernel's log of p_two less ln 2

@@ -8,11 +8,12 @@ kernel is implemented here and validated in the test suite against exact
 closed forms, brute-force quadrature and frozen mpmath values. It returns
 ln Q, so deep tails stay finite; a caller that wants Q itself takes its exp.
 The kernel follows the classic split: power series for x < a + 1, continued
-fraction (modified Lentz) otherwise. Both loops stop once a step's increment
-leaves their result unchanged; the continued fraction takes its factor less 1
-as its own quotient, which reaches 0 where rounding holds the factor an ulp off
-1 (large x). Near x = a the loops need about 9 sqrt(a) steps, so the iteration
-bound grows with sqrt(a). For large a the prefactor x^a e^-x / Gamma(a) is
+fraction (Lentz) otherwise, whose denominators all stay >= b / 2, so none
+needs a guard. Both loops stop once a step's increment leaves their result
+unchanged; the continued fraction takes its factor less 1 as its own quotient,
+which reaches 0 where rounding holds the factor an ulp off 1 (large x). Near
+x = a the loops need about 9 sqrt(a) steps, so the iteration bound grows with
+sqrt(a). For large a the prefactor x^a e^-x / Gamma(a) is
 a (ln(1 + t) - t) + ln(a / 2 pi) / 2 less the Stirling remainder of ln Gamma(a),
 t = x / a - 1, not three terms of size a ln a that cancel.
 """
@@ -95,27 +96,20 @@ def _lower_series(a: float, x: float, max_iter: int) -> float:
 
 
 def _upper_cf_factor(a: float, x: float, max_iter: int) -> float:
-    """Continued-fraction factor h with Q(a, x) = exp(_log_prefactor(a, x)) * h.
-
-    Modified Lentz iteration (x >= a + 1 region).
-    """
-    tiny = 1e-300
+    """Continued-fraction factor h, Q(a, x) = exp(_log_prefactor(a, x)) * h for x >= a + 1, by
+    Lentz's iteration: b_i = x - a + 2i + 1 and a_i = -i (i - a) give b_i b_(i-1) - 4i (i - a)
+    = (x - a)^2 + 4ix - 1 >= 0, so each denominator stays >= b_i / 2 >= 1/2 (c starts at inf)."""
     b = x + 1.0 - a
-    c = 1.0 / tiny
+    c = math.inf
     d = 1.0 / b
     h = d
     for i in range(1, max_iter + 1):
         an = -i * (i - a)
         b += 2.0
         ad = an * d
-        d = ad + b
-        if abs(d) < tiny:
-            d = tiny
+        d = 1.0 / (ad + b)
         q = an / c
         c = b + q
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
         # c d - 1 is (q - ad) d; so taken, it reaches 0 where rounding holds c d an ulp off 1
         if h + h * ((q - ad) * d) == h:
             return h

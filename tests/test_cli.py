@@ -94,6 +94,13 @@ class TestConvert:
         assert code == 2
         assert "exactly one" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--p", "0.5", "--s", "1.0", "--from-unit", "nats"], [], ["--from-unit", "nats"],
+    ], ids=["both-with-unit", "neither", "neither-with-unit"])
+    def test_exactly_one_of_p_or_s(self, capsys, argv):
+        code, out, err = run(capsys, "convert", *argv, "--format", "json")
+        assert (code, out, err) == (2, "", "error: give exactly one of --p or --s\n")
+
     def test_table_format_rounds(self, capsys):
         code, out, _ = run(capsys, "convert", "--p", "0.05")
         assert code == 0

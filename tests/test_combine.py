@@ -354,6 +354,13 @@ class TestCompareMethods:
         with pytest.raises(OverflowError, match=r"^study 'a': the z-score .* overflows$"):
             compare_methods(studies)
 
+    def test_overflowing_study_z_squared_names_the_study(self):
+        # the pooled z is 0; each study's z is finite, but the first one's square overflows
+        studies = effect_studies((1.4e154, 1.0), (-1.4e154, 1.0))
+        message = "study 's0': the S-value at z = 1.4e+154 overflows: z^2 is past the largest double"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            compare_methods(studies)
+
     @pytest.mark.parametrize("rows, message", [
         ([(1e200, 1.0)], "the S-value at z = 1e+200 overflows"),  # the pooled z's square
         # the pooled z is 0, but the two studies' 2 s_k sum past the largest double

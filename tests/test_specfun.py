@@ -60,13 +60,21 @@ LOG_Q_HUGE_X = {
 
 # ln Q(a, x) just past x = a + 1, where the continued fraction's first factors are
 # far from 1, so updating h by h + h (factor - 1) there loses digits (3.8e-12 at
-# a = 1e6): mpmath 1.3.0 at 90 digits (log of the upper gammainc), rounded to 30.
+# a = 1e6), and at the edges of its region: a near 0, deep tails at small and large a,
+# and x = a + 1 at small and large a. Lentz's iteration has no guard against a zero
+# denominator; each one stays >= b_i / 2 (see _upper_cf_factor). mpmath 1.3.0 at 90
+# digits (log of the upper gammainc), rounded to 30.
 LOG_Q_CF_START = {
     (100.0, 101.0): -0.804964705538389347482342019227,
     (1000.0, 1001.5): -0.740460833484264798232381823438,
     (7305.0, 7309.11): -0.73548492038887682779679288678,
     (50000.0, 50010.0): -0.730699924588464815036200178912,
     (1000000.0, 1000002.0): -0.695010643579944110703756664823,
+    (1e-300, 1.0): -692.292459857215750791203379313,
+    (3.5, 1e10): -9999999943.63634627724593212436,
+    (20.0, 21.0): -0.956428657651069417964457775834,
+    (1e6, 1e6 + 1): -0.694211592329349803551824297526,
+    (1e12, 1e13): -6697414907022.88598965051391833,
 }
 
 
@@ -145,7 +153,7 @@ class TestRegGammaUpper:
     def test_continued_fraction_start_matches_mpmath(self, a, x):
         assert log_reg_gamma_upper(a, x) == pytest.approx(LOG_Q_CF_START[(a, x)], rel=1e-14, abs=0)
 
-    @pytest.mark.parametrize("x", [2.4e16, 2.0**54, 1e20, 1e300])
+    @pytest.mark.parametrize("x", [2.4e16, 2.0**54, 1e20, 1e300, 1.7e308])
     def test_huge_x_exponential_case(self, x):
         # ln Q(1, x) = -x
         assert log_reg_gamma_upper(1.0, x) == pytest.approx(-x, rel=1e-15, abs=0)
