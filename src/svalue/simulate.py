@@ -22,19 +22,19 @@ outcome histogram in one multinomial, in O(trials) time and memory whatever n
 is, and each drawn outcome is a group with M2 = 0. Its tails come from float
 pmf ratios taken outward from the mode over their fsum, at every trial count
 (within 1e-12 relative of rational tails up to 2000 trials). The KS report
-partitions one copy of its samples into blocks of ranks; each thread sorts its
-block in place and scans it in chunks. One fan-out, `_on_threads`, runs both on
+reads its samples in place and sorts F of only those that can hold its largest
+gap. One fan-out, `_on_threads`, runs the uniform chunks and both KS passes on
 up to one thread per CPU, each with at least THREAD_CHUNKS chunks: the calling
-thread and a `concurrent.futures.ThreadPoolExecutor`, imported only by a call
-that uses more than one thread. Memory is O(CHUNK) per thread (under 1 byte per
-draw for the simulations) plus the KS report's copy.
+thread and a ThreadPoolExecutor, imported only by a call that uses more than
+one thread. Memory is O(CHUNK) per thread (under 1 byte per draw for the
+simulations) plus the F values the KS report gathers.
 
 Reproducibility contract: draws come from numpy's PCG64 bit generator seeded
 with SeedSequence(entropy=seed, spawn_key=(stream,)). The same (seed, stream)
 pair yields bit-identical results across runs and platforms. The pooled sums
 are exactly rounded, so a summary does not depend on the order of its groups.
 Chunk j is drawn after `advance(j * CHUNK)` (one 64-bit output per double), and
-any sort of the KS copy holds the same value at each rank i, with i / n one
+the KS report scans each gathered F at its exact rank i, with i / n one
 division; so results do not depend on the thread count. Uniform results above
 CHUNK draws may differ from a single pass over all draws in their last bit.
 """
@@ -177,10 +177,11 @@ def _pool(groups: list[tuple], alphas: list[float]) -> SimulationSummary:
     )
 
 
-def _parts(chunks: int) -> int:
-    """Threads for a call of `chunks` chunks: one per CPU, each with at least THREAD_CHUNKS."""
+def _runs(chunks: int) -> list[tuple[int, int]]:
+    """Chunks 0 .. chunks - 1 in runs (first, last), one per CPU, each of >= THREAD_CHUNKS."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cpus or 1, chunks // THREAD_CHUNKS))
+    parts = max(1, min(cpus or 1, chunks // THREAD_CHUNKS))
+    return [(chunks * i // parts, chunks * (i + 1) // parts) for i in range(parts)]
 
 
 def _on_threads(parts: int, run) -> list:
@@ -206,11 +207,9 @@ def simulate_uniform_p(
     alphas = _check_alphas(alphas)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"replicate count must be a positive integer, got {n!r}")
-    chunks = -(-n // CHUNK)
-    parts = _parts(chunks)
-    runs = _on_threads(parts, lambda i: _uniform_groups(
-        rng, n, chunks * i // parts, chunks * (i + 1) // parts, alphas))
-    return _pool([g for r in runs for g in r], alphas)
+    runs = _runs(-(-n // CHUNK))
+    groups = _on_threads(len(runs), lambda i: _uniform_groups(rng, n, *runs[i], alphas))
+    return _pool([g for r in groups for g in r], alphas)
 
 
 def binomial_upper_tail_pvalues(trials: int, theta0: float) -> list[float]:
@@ -309,21 +308,28 @@ def evalue_check(
     )
 
 
-def _ks_block(data: np.ndarray, first: int, last: int, cdf) -> float:
-    """Sort data[first:last], a block of ranks that holds no value below an earlier block's,
-    in place, and return its largest D+ or D-, scanned in chunks at global ranks."""
+def _ks_chunks(data: np.ndarray, first: int, last: int, cdf, nb: int):
+    """F and bucket int(F nb), F = 1 in nb - 1, per chunk first .. last - 1, in reused buffers."""
     np = _numpy()
-    data[first:last].sort()
-    if np.isnan(data[last - 1]):  # sort puts NaN last in this block, wherever partition put it
-        raise ValueError("samples must not contain NaN")
-    f = np.empty(min(CHUNK, last - first))  # the CDF of one chunk
-    d_stat = 0.0
-    for start in range(first, last, CHUNK):
-        x = data[start:min(start + CHUNK, last)]
-        fx = cdf(x, f[:x.size])
-        ramp = np.arange(start, start + x.size + 1) / data.size  # (i - 1) / n and i / n at rank i
-        d_stat = max(d_stat, float(np.max(ramp[1:] - fx)), float(np.max(fx - ramp[:-1])))
-    return d_stat
+    f = np.empty(min(CHUNK, data.size - first * CHUNK))
+    b = np.empty(f.size, dtype=np.intp)
+    for start in range(first * CHUNK, min(last * CHUNK, data.size), CHUNK):
+        fx = cdf(data[start:start + CHUNK], f[:min(CHUNK, data.size - start)])
+        if np.isnan(fx.max()):  # the CDF keeps NaN, and max propagates it
+            raise ValueError("samples must not contain NaN")
+        j = np.multiply(fx, nb, out=b[:fx.size], casting="unsafe")  # truncates, as F >= 0
+        yield fx, np.minimum(j, nb - 1, out=j)
+
+
+def _ks_gather(data: np.ndarray, first: int, last: int, cdf, keep: np.ndarray, out) -> None:
+    """F of the samples of chunks first .. last - 1 in kept buckets, in order, into out."""
+    if out.size == min(last * CHUNK, data.size) - first * CHUNK:  # all kept: no bucket to find
+        cdf(data[first * CHUNK:last * CHUNK], out)
+    else:
+        for fx, j in _ks_chunks(data, first, last, cdf, keep.size):
+            at = keep[j].nonzero()[0]
+            fx.take(at, out=out[:at.size], mode="clip")  # "raise" would copy out first
+            out = out[at.size:]
 
 
 def distribution_report(samples, reference: str) -> DistributionReport:
@@ -331,9 +337,13 @@ def distribution_report(samples, reference: str) -> DistributionReport:
 
     reference is "exponential_1" or "uniform_01"; passes when the KS statistic
     stays under the asymptotic 1% critical value 1.63 / sqrt(n).
+
+    The samples are read in place: F of only those in buckets of F that can hold the largest D
+    (all n at worst) is gathered, sorted and scanned at its exact ranks by the whole-array
+    formula, so D is the same double at any thread count, in O(nb + CHUNK) memory per thread.
     """
     np = _numpy()
-    data = np.array(samples, dtype=float)
+    data = np.asarray(samples, dtype=float)
     n = data.size
     if n < 100 or data.ndim != 1:
         raise ValueError(f"distribution_report needs 100 or more samples in 1-D, got {data.shape}")
@@ -345,14 +355,29 @@ def distribution_report(samples, reference: str) -> DistributionReport:
         def cdf(x, out):
             return np.clip(x, 0.0, 1.0, out=out)
     else:
-        raise ValueError(
-            f"unknown reference {reference!r}; expected exponential_1 or uniform_01"
-        )
-    parts = _parts(-(-n // CHUNK))
-    edges = [n * i // parts for i in range(parts + 1)]
-    if parts > 1:
-        data.partition(edges[1:-1])  # block i holds ranks edges[i] .. edges[i + 1] - 1
-    d_stat = max(_on_threads(parts, lambda i: _ks_block(data, edges[i], edges[i + 1], cdf)))
+        raise ValueError(f"unknown reference {reference!r}; expected exponential_1 or uniform_01")
+    nb = min(CHUNK, n // 16)
+    runs = _runs(-(-n // CHUNK))
+    per_run = _on_threads(len(runs), lambda r: sum(  # pass 1
+        np.bincount(j, minlength=nb) for _, j in _ks_chunks(data, *runs[r], cdf, nb)))
+    c = sum(per_run)
+    end = np.cumsum(c)  # bucket j: ranks C + 1 .. end with C = end - c, F in [j, j + 1] / nb,
+    # so D+ and D- in it lie in [top - 1 / nb, top]; each rounding is a few ulps of 1, << 1e-9
+    top = np.maximum(end / n - np.arange(nb) / nb, np.arange(1, nb + 1) / nb - (end - c) / n)
+    keep = (c > 0) & (top >= top[c > 0].max() - 1 / nb - 1e-9)
+    at = np.cumsum([0] + [int(r[keep].sum()) for r in per_run])
+    kept = np.empty(at[-1])
+    _on_threads(len(runs), lambda r: _ks_gather(data, *runs[r], cdf, keep, kept[at[r]:at[r + 1]]))
+    kept.sort()
+    # kept bucket j's F at position p has rank shift + p + 1; shift grows past unkept samples
+    shifts, new = np.unique(end[keep] - np.cumsum(c[keep]), return_index=True)
+    bounds = [*(np.cumsum(c[keep]) - c[keep])[new].tolist(), kept.size]
+    d_stat = 0.0
+    for first, last, s in zip(bounds, bounds[1:], shifts.tolist()):
+        for p in range(first, last, CHUNK):
+            f = kept[p:min(p + CHUNK, last)]
+            ramp = np.arange(s + p + 0.0, s + p + f.size + 1) / n  # (i - 1) / n and i / n
+            d_stat = max(d_stat, float(np.max(ramp[1:] - f)), float(np.max(f - ramp[:-1])))
     critical = KS_CRITICAL_COEF / math.sqrt(n)
     return DistributionReport(
         n=n,

@@ -18,7 +18,6 @@ from svalue.simulate import (
     RngSpec,
     _check_alphas,
     _chunk_group,
-    _ks_block,
     _pool,
     binomial_upper_tail_pvalues,
     distribution_report,
@@ -426,15 +425,39 @@ class TestDistributionReport:
         data = RngSpec(9).generator().random(10_000)
         assert distribution_report(data, "uniform_01").passed
 
-    @pytest.mark.parametrize("n, decimals", [
+    NB_FULL = 16 * CHUNK  # from this n on, the report uses CHUNK buckets of F
+
+    @staticmethod
+    def bucket_case(n, kind):
+        """n samples of a kind that strains the bucket bound (nb = min(CHUNK, n // 16))."""
+        gen = RngSpec(n).generator()
+        nb = min(CHUNK, n // 16)
+        return {
+            "equal": lambda: np.full(n, 0.75),
+            "edges": lambda: gen.integers(0, nb + 1, n) / nb,  # k / nb, with 0 and 1
+            "outside": lambda: gen.choice([-np.inf, -2.0, -0.0, 0.5, 1.0, 3.0, np.inf], n),
+            "half": lambda: gen.random(n) * 0.5,  # U(0, 1/2), far from uniform_01
+            "uniform": lambda: gen.random(n),  # U(0, 1), far from exponential_1
+        }[kind]()
+
+    @pytest.mark.parametrize("n, variant", [  # None: draws; int: draws rounded; str: bucket_case
         (CHUNK + 1, None), (2 * CHUNK + 3, None), (3 * THREAD_CHUNKS * CHUNK + 3, None),
-        (3 * THREAD_CHUNKS * CHUNK + 3, 3),  # rounded: ties straddle the block edges
-    ], ids=[str(CHUNK + 1), str(2 * CHUNK + 3), "3_blocks", "3_blocks_tied"])
+        (3 * THREAD_CHUNKS * CHUNK + 3, 3),  # rounded: ties straddle the edges of runs
+        (100, None), (NB_FULL - 1, None), (NB_FULL + 1, None),
+        (100, "equal"), (3 * THREAD_CHUNKS * CHUNK + 3, "equal"), (2 * CHUNK + 3, "edges"),
+        (NB_FULL + 1, "edges"), (1000, "outside"), (3 * THREAD_CHUNKS * CHUNK + 3, "outside"),
+        (2 * CHUNK + 3, "half"), (2 * CHUNK + 3, "uniform"),
+    ], ids=[str(CHUNK + 1), str(2 * CHUNK + 3), "3_blocks", "3_blocks_tied", "100",
+            "below_full_buckets", "above_full_buckets", "100_equal", "3_blocks_equal", "edges",
+            "edges_full_buckets", "outside", "3_blocks_outside", "half", "uniform"])
     @pytest.mark.parametrize("reference", ["exponential_1", "uniform_01"])
-    def test_chunks_match_the_whole_array_formula(self, monkeypatch, n, reference, decimals):
-        data = -np.log(1.0 - RngSpec(n).generator().random(n))
-        if decimals is not None:
-            data = np.round(data, decimals)
+    def test_chunks_match_the_whole_array_formula(self, monkeypatch, n, reference, variant):
+        if isinstance(variant, str):
+            data = self.bucket_case(n, variant)
+        else:
+            data = -np.log(1.0 - RngSpec(n).generator().random(n))
+            if variant is not None:
+                data = np.round(data, variant)
         x = np.sort(data)
         if reference == "exponential_1":
             cdf = -np.expm1(-np.clip(x, 0.0, None))
@@ -443,15 +466,15 @@ class TestDistributionReport:
         i = np.arange(1, n + 1)
         want = max(float(np.max(i / n - cdf)), float(np.max(cdf - (i - 1) / n)))
         given = data.copy()
-        for cpus in (1, 2, 3, 8):  # the largest n splits into 1, 2, 3 and 3 blocks
+        for cpus in (1, 2, 3, 8):  # the largest n splits into 1, 2, 3 and 3 runs
             force_cpus(monkeypatch, cpus)
             assert distribution_report(data, reference).ks_statistic == want
-        assert np.array_equal(data, given)  # the report sorts its own copy
+        assert np.array_equal(data, given)  # the report reads it in place
 
     @pytest.mark.parametrize("cpus", [2, 4])
     @pytest.mark.parametrize("where", ["first", "middle", "edge", "last", "several"])
     def test_nan_is_refused_in_every_block(self, monkeypatch, cpus, where):
-        n = cpus * THREAD_CHUNKS * CHUNK + 3  # cpus blocks, the second starting at n // cpus
+        n = cpus * THREAD_CHUNKS * CHUNK + 3  # cpus runs of chunks, the second near n // cpus
         force_cpus(monkeypatch, cpus)
         data = RngSpec(3).generator().random(n)
         data[{"first": [0], "middle": [n // 2 + 1], "edge": [n // cpus], "last": [n - 1],
@@ -467,17 +490,18 @@ class TestDistributionReport:
         assert threading.active_count() == before
 
     def test_a_failing_thread_fails_the_call_and_leaves_no_thread(self, monkeypatch):
-        # the helper thread owns the second block of ranks
+        # the helper thread owns the second run of chunks in each pass
         linger_threads(monkeypatch)
         calls = []
+        ks_chunks = simulate._ks_chunks
 
-        def ks_block(data, first, last, cdf):
+        def failing_chunks(data, first, last, cdf, nb):
             calls.append(threading.current_thread())
             if threading.current_thread() is not threading.main_thread():
                 raise ArithmeticError("helper failed")
-            return _ks_block(data, first, last, cdf)
+            return ks_chunks(data, first, last, cdf, nb)
 
-        monkeypatch.setattr(simulate, "_ks_block", ks_block)
+        monkeypatch.setattr(simulate, "_ks_chunks", failing_chunks)
         data = RngSpec(1).generator().random(32 * CHUNK)
         before = threading.active_count()
         with pytest.raises(ArithmeticError, match="helper failed"):
@@ -528,8 +552,8 @@ class TestMemory:
         n = 4 * THREAD_CHUNKS * CHUNK
         assert self.peak_bytes(lambda: simulate_uniform_p(n, RngSpec(1))) < n
 
-    def test_ks_report_holds_one_sorted_copy(self, monkeypatch):
-        force_cpus(monkeypatch, 8)  # 64 chunks: four blocks of 16
+    def test_ks_report_holds_no_copy_of_its_samples(self, monkeypatch):
+        force_cpus(monkeypatch, 8)  # 64 chunks: four runs of 16
         n = 4 * THREAD_CHUNKS * CHUNK
         data = RngSpec(2).generator().random(n)
-        assert self.peak_bytes(lambda: distribution_report(data, "uniform_01")) < 12 * n
+        assert self.peak_bytes(lambda: distribution_report(data, "uniform_01")) < 3 * n

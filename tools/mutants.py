@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 
 SPECFUN = ("tests/test_specfun.py",)
 CSV_BLOCKS = ("tests/test_combine.py::TestCsvBlocks",)
+KS = ("tests/test_simulate.py::TestDistributionReport",)
 
 MUTANTS = [
     # the incomplete-gamma kernel
@@ -93,6 +94,15 @@ MUTANTS = [
     Mutant("helper-thread-unjoined", "simulate.py",
            "    with ThreadPoolExecutor(parts - 1) as pool:\n",
            "    pool = ThreadPoolExecutor(parts - 1)\n    if True:\n", ("tests/test_simulate.py",)),
+    Mutant("ks-bucket-nb-unfolded", "simulate.py",
+           "yield fx, np.minimum(j, nb - 1, out=j)", "yield fx, j", KS),
+    Mutant("ks-rank-off-by-one", "simulate.py", "np.arange(s + p + 0.0, s + p + f.size + 1)",
+           "np.arange(s + p + 1.0, s + p + f.size + 2)", KS),
+    Mutant("ks-keep-by-d-plus-bound", "simulate.py",
+           "top = np.maximum(end / n - np.arange(nb) / nb, "
+           "np.arange(1, nb + 1) / nb - (end - c) / n)",
+           "top = end / n - np.arange(nb) / nb", KS),
+    Mutant("ks-nan-unchecked", "simulate.py", "if np.isnan(fx.max()):", "if False:", KS),
     # package
     Mutant("cli-imports-dataclasses", "cli.py",
            "import argparse\n", "import argparse\nimport dataclasses\n", ("tests/test_package.py",)),
