@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .specfun import normal_quantile
+from .specfun import _checked_int, normal_quantile
 from .units import PValue
 
 BF_BOUND_MAX_P = 1.0 / math.e  # 0.3679; -p*ln(p) peaks here at 1/e
@@ -39,8 +39,7 @@ def calibration_report(p: PValue, d: int = 1) -> CalibrationReport:
     overflows raises OverflowError; Bayes-factor fields only for p < 1/e, and 1/b only
     where it is finite. Anything inapplicable is None with an explanatory note.
     """
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise ValueError(f"restriction dimension d must be a positive integer, got {d!r}")
+    d = _checked_int(d, "restriction dimension d must be a positive integer")
     if p.value == 1.0:
         raise ValueError("calibration_report requires p < 1")
     notes: list[str] = []

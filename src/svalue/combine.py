@@ -1,7 +1,8 @@
 """Evidence combination across independent studies.
 
-Three routes are provided, each computed from the float columns of a StudyTable, which
-`studies_from_csv` and `StudyTable.from_columns` check study by study:
+Three routes are provided. Two compute from the float columns of a StudyTable, which
+`studies_from_csv` and `StudyTable.from_columns` check study by study; the Z-squared test
+takes a list of z-scores, which the CLI builds from a table with `_study_z_scores`:
 
 * the S-summation test (Fisher's method in surprisal form): sum the per-study
   surprisals in nats and refer twice the sum to a chi-squared distribution on

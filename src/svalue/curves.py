@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .specfun import _SQRT2, _checked_make, _two_sided_tail
+from .specfun import _SQRT2, _checked_int, _checked_make, _two_sided_tail
 from .units import InfoUnit, SValue
 
 
@@ -71,8 +71,7 @@ def curve(
     unit: InfoUnit = InfoUnit.BITS,
 ) -> list[CurvePoint]:
     """Tabulate the P-/S-value functions on a closed, equally spaced grid."""
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
-        raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
+    steps = _checked_int(steps, "steps must be an integer >= 2", 2)
     from_, to = float(from_), float(to)
     if not (math.isfinite(from_) and math.isfinite(to)):
         raise ValueError("grid endpoints must be finite")

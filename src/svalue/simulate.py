@@ -44,9 +44,10 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Sequence
+from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
-from .specfun import _checked_make
+from .specfun import _checked_int, _checked_make
 from .units import InfoUnit
 
 if TYPE_CHECKING:
@@ -75,9 +76,8 @@ class RngSpec(NamedTuple("RngSpec", [("seed", int), ("stream", int)])):
     _make = classmethod(_checked_make)
 
     def __new__(cls, seed: int, stream: int = 0) -> RngSpec:
-        for name, v in (("seed", seed), ("stream", stream)):
-            if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < 2**64):
-                raise ValueError(f"{name} must be an integer in [0, 2^64), got {v!r}")
+        seed, stream = (_checked_int(v, f"{name} must be an integer in [0, 2^64)", 0, 2**64)
+                        for name, v in (("seed", seed), ("stream", stream)))
         return tuple.__new__(cls, (seed, stream))
 
     def generator(self) -> np.random.Generator:
@@ -123,31 +123,25 @@ def _check_alphas(alphas: Sequence[float]) -> list[float]:
     return out
 
 
-def _chunk_group(p: np.ndarray, hit: np.ndarray, alphas: list[float]) -> tuple:
-    """One chunk of P-values as a group, its mean and M2 by numpy's mean and std, in
-    place: `hit` is scratch for the alpha tests, and p is overwritten."""
-    np = _numpy()
-    hits = [int(np.count_nonzero(np.less_equal(p, a, out=hit))) for a in alphas]
-    np.log(p, out=p)
-    total = -float(p.sum())  # negation is exact, so this is the sum of -ln p
-    mean = total / p.size
-    np.add(p, mean, out=p)  # ln p + mean = -(-ln p - mean) exactly, and squares alike
-    return p.size, total, mean, float(np.square(p, out=p).sum()), hits
-
-
 def _uniform_groups(rng: RngSpec, n: int, first: int, last: int, alphas: list[float]) -> list:
-    """Chunks first .. last - 1 of n uniform P-values as groups, drawn into one buffer."""
+    """Chunks first .. last - 1 of n uniform P-values as groups. Each chunk is drawn into one
+    reused buffer and summarized there: its hits per alpha, then ln p in place, whose sum,
+    mean and M2 are numpy's sum, mean and squared deviations, bit for bit."""
     np = _numpy()
     gen = rng.generator()
     gen.bit_generator.advance(first * CHUNK)  # one 64-bit output per double
-    p = np.empty(min(CHUNK, n - first * CHUNK))
-    hit = np.empty(p.size, dtype=bool)
+    buf = np.empty(min(CHUNK, n - first * CHUNK))
+    hit = np.empty(buf.size, dtype=bool)
     groups = []
     for j in range(first, last):
-        q = p[:min(CHUNK, n - j * CHUNK)]
+        p = buf[:min(CHUNK, n - j * CHUNK)]
         # 1 - U keeps the draw in (0, 1]; numpy's random() can return exactly 0.
-        np.subtract(1.0, gen.random(out=q), out=q)
-        groups.append(_chunk_group(q, hit[:q.size], alphas))
+        np.subtract(1.0, gen.random(out=p), out=p)
+        hits = [int(np.count_nonzero(np.less_equal(p, a, out=hit[:p.size]))) for a in alphas]
+        total = -float(np.log(p, out=p).sum())  # negation is exact: the sum of -ln p
+        mean = total / p.size
+        np.add(p, mean, out=p)  # ln p + mean = -(-ln p - mean) exactly, and squares alike
+        groups.append((p.size, total, mean, float(np.square(p, out=p).sum()), hits))
     return groups
 
 
@@ -205,8 +199,7 @@ def simulate_uniform_p(
     rejection rate at each alpha targets alpha itself.
     """
     alphas = _check_alphas(alphas)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"replicate count must be a positive integer, got {n!r}")
+    n = _checked_int(n, "replicate count must be a positive integer")
     runs = _runs(-(-n // CHUNK))
     groups = _on_threads(len(runs), lambda i: _uniform_groups(rng, n, *runs[i], alphas))
     return _pool([g for r in groups for g in r], alphas)
@@ -221,8 +214,7 @@ def binomial_upper_tail_pvalues(trials: int, theta0: float) -> list[float]:
     float; the tails are a running sum from x = trials downward over the
     terms' fsum. No normal approximation anywhere.
     """
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    trials = _checked_int(trials, "trials must be a positive integer")
     if not 0.0 < theta0 < 1.0:
         raise ValueError(f"theta0 must lie in (0, 1), got {theta0!r}")
     mode = min(int((trials + 1) * theta0), trials)
@@ -234,12 +226,8 @@ def binomial_upper_tail_pvalues(trials: int, theta0: float) -> list[float]:
     for x in range(mode, 0, -1):
         pmf[x - 1] = pmf[x] * x / (trials - x + 1) * down
     total = math.fsum(pmf)
-    tails = [1.0] * (trials + 1)
-    acc = 0.0
-    for x in range(trials, 0, -1):
-        acc += pmf[x]
-        tails[x] = min(acc / total, 1.0)
-    return tails
+    tails = [min(acc / total, 1.0) for acc in accumulate(pmf[:0:-1])]  # x = trials .. 1
+    return [1.0, *reversed(tails)]
 
 
 def simulate_exact_binomial(
@@ -258,8 +246,7 @@ def simulate_exact_binomial(
     """
     np = _numpy()
     alphas = _check_alphas(alphas)
-    if not isinstance(n_reps, int) or isinstance(n_reps, bool) or n_reps < 1:
-        raise ValueError(f"replicate count must be a positive integer, got {n_reps!r}")
+    n_reps = _checked_int(n_reps, "replicate count must be a positive integer")
     tails = np.asarray(binomial_upper_tail_pvalues(trials, theta0))
     # The counts of n_reps iid outcomes are Multinomial(n_reps, pmf); the differences of
     # the tails telescope to 1, so the pmf passes numpy's sum check.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import NamedTuple
 
 # Convergence policy: the series sum and the continued fraction's h are final once
@@ -44,6 +45,17 @@ def _checked_make(cls, fields):
     return cls(*fields)
 
 
+def _checked_int(v, what: str, low: float = 1, high: float = math.inf) -> int:
+    """v as the int operator.index makes of it (numpy's integers too) if it lies in [low, high);
+    else ValueError(f"{what}, got {v!r}"), as for a bool, float or str."""
+    try:
+        if not isinstance(v, bool) and low <= (i := operator.index(v)) < high:
+            return i
+    except TypeError:
+        pass
+    raise ValueError(f"{what}, got {v!r}")
+
+
 class ChiSquare(NamedTuple("ChiSquare", [("df", int)])):
     """Chi-squared distribution with a positive integer number of df."""
 
@@ -51,8 +63,7 @@ class ChiSquare(NamedTuple("ChiSquare", [("df", int)])):
     _make = classmethod(_checked_make)
 
     def __new__(cls, df: int) -> ChiSquare:
-        if not isinstance(df, int) or isinstance(df, bool):
-            raise ValueError(f"df must be an integer, got {df!r}")
+        df = _checked_int(df, "df must be an integer", -math.inf)
         if df < 1:
             raise ValueError(f"df must be >= 1, got {df}")
         return tuple.__new__(cls, (df,))

@@ -17,8 +17,8 @@ from svalue.simulate import (
     THREAD_CHUNKS,
     RngSpec,
     _check_alphas,
-    _chunk_group,
     _pool,
+    _uniform_groups,
     binomial_upper_tail_pvalues,
     distribution_report,
     evalue_check,
@@ -144,15 +144,15 @@ class TestSimulateUniformP:
         # group sums ln p and adds the mean instead, which negation makes exact, bit for bit
         alphas = [0.01, 0.05, 0.5]
         sizes = [1, 2, 3, CHUNK - 1, CHUNK, *random.Random(8).sample(range(4, CHUNK - 1), 20)]
-        gen = RngSpec(13, 6).generator()
-        for size in sizes:
-            p = 1.0 - gen.random(size)
+        for stream, size in enumerate(sizes):
+            rng = RngSpec(13, stream)
+            p = 1.0 - rng.generator().random(size)
             s = np.negative(np.log(p))
             total = float(s.sum())
             mean = total / size
             want = (size, total, mean, float(np.square(s - mean).sum()),
                     [int(np.count_nonzero(p <= a)) for a in alphas])
-            assert _chunk_group(p, np.empty(size, dtype=bool), alphas) == want
+            assert _uniform_groups(rng, size, 0, 1, alphas) == [want]
 
     def test_advance_reaches_a_chunk_of_the_stream(self):
         # each double takes one 64-bit output, so a run drawn after advance(j * CHUNK)
@@ -189,13 +189,13 @@ class TestSimulateUniformP:
         linger_threads(monkeypatch)
         calls = []
 
-        def chunk_group(p, hit, alphas):
+        def uniform_groups(*args):
             calls.append(threading.current_thread())
             if threading.current_thread() is not threading.main_thread():
                 raise ArithmeticError("helper failed")
-            return _chunk_group(p, hit, alphas)
+            return _uniform_groups(*args)
 
-        monkeypatch.setattr(simulate, "_chunk_group", chunk_group)
+        monkeypatch.setattr(simulate, "_uniform_groups", uniform_groups)
         before = threading.active_count()
         with pytest.raises(ArithmeticError, match="helper failed"):
             simulate_uniform_p(32 * CHUNK, RngSpec(1))
@@ -215,9 +215,8 @@ class TestPooling:
     def test_group_order_does_not_matter(self):
         # uniform chunks of uneven sizes beside outcome groups of equal P-values
         alphas = [0.01, 0.05, 0.5]
-        gen = RngSpec(3, 1).generator()
-        groups = [_chunk_group(1.0 - gen.random(size), np.empty(size, dtype=bool), alphas)
-                  for size in (CHUNK, 1000, 7, CHUNK, 1)]
+        groups = [g for stream, size in enumerate((CHUNK, 1000, 7, CHUNK, 1))
+                  for g in _uniform_groups(RngSpec(3, stream), size, 0, 1, alphas)]
         for k, p in ((5, 1.0), (40, 0.3), (1, 1e-300), (999, 0.04)):
             s = -math.log(p)
             groups.append((k, k * s, s, 0.0, [k if p <= a else 0 for a in alphas]))
@@ -302,6 +301,17 @@ class TestBinomialTails:
                 tails = binomial_upper_tail_pvalues(trials, theta)
                 for alpha in alphas:
                     assert rejection_probability(tails, float(alpha)) <= alpha + 1e-12
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 10, 50, 100, 1000, 2000, 5000])
+    def test_tails_start_at_one_stay_in_the_unit_interval_and_never_rise(self, trials):
+        # the running sum's rounding can pass the total, so the cap at 1 binds at
+        # (50, 0.7), (100, 0.5), (100, 0.999), (1000, 0.7), (1000, 0.999) and (5000, 0.3)
+        for theta0 in (1e-12, 1e-3, 0.3, 0.5, 0.7, 0.999, 1 - 1e-12):
+            tails = binomial_upper_tail_pvalues(trials, theta0)
+            assert len(tails) == trials + 1
+            assert tails[0] == 1.0
+            assert all(0.0 <= t <= 1.0 for t in tails)
+            assert all(a >= b for a, b in zip(tails, tails[1:]))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -2,16 +2,24 @@
 
 Each is a read-only named tuple whose construction checks its fields. The same
 checks run on every route to an instance: the constructor, `_make` and
-`_replace`; unpickling goes through the constructor.
+`_replace`; unpickling goes through the constructor. An integer field, like
+every count argument of the library, takes numpy's integers and stores an int.
 """
 
 import math
 import pickle
+import re
 
 import pytest
 
-from svalue.curves import EstimateSpec
-from svalue.simulate import RngSpec
+from svalue.calibrate import calibration_report
+from svalue.curves import EstimateSpec, curve
+from svalue.simulate import (
+    RngSpec,
+    binomial_upper_tail_pvalues,
+    simulate_exact_binomial,
+    simulate_uniform_p,
+)
 from svalue.specfun import ChiSquare
 from svalue.units import InfoUnit, PValue, SValue
 
@@ -90,3 +98,30 @@ def test_pickle_round_trips(cls):
     back = pickle.loads(pickle.dumps(value))
     assert type(back) is cls and back == value
 
+
+# each integer field and count argument, as a call of one integer k, and a k it takes
+INTEGER_SITES = {
+    "ChiSquare.df": (ChiSquare, 3),
+    "RngSpec.seed": (lambda k: RngSpec(k, 3), 42),
+    "RngSpec.stream": (lambda k: RngSpec(42, k), 3),
+    "calibration_report.d": (lambda k: calibration_report(PValue(0.05), k), 1),
+    "curve.steps": (lambda k: curve(EstimateSpec(1.2, 0.5), 0.0, 2.0, k), 5),
+    "simulate_uniform_p.n": (lambda k: simulate_uniform_p(k, RngSpec(1)), 1000),
+    "binomial_upper_tail_pvalues.trials": (lambda k: binomial_upper_tail_pvalues(k, 0.5), 10),
+    "simulate_exact_binomial.n_reps": (
+        lambda k: simulate_exact_binomial(k, 10, 0.5, RngSpec(1)), 1000),
+    "simulate_exact_binomial.trials": (
+        lambda k: simulate_exact_binomial(1000, k, 0.5, RngSpec(1)), 10),
+}
+
+
+@pytest.mark.numpy
+@pytest.mark.parametrize("call, k", INTEGER_SITES.values(), ids=INTEGER_SITES)
+def test_integer_arguments_take_numpy_integers_and_store_an_int(call, k):
+    np = pytest.importorskip("numpy")
+    want = repr(call(k))  # an np.int64 field would show in the repr
+    for v in (np.int64(k), np.uint64(k)):
+        assert repr(call(v)) == want
+    for bad in (True, np.float64(2.0)):
+        with pytest.raises(ValueError, match=re.escape(f", got {bad!r}")):
+            call(bad)

@@ -39,6 +39,11 @@ class Mutant(NamedTuple):
 SPECFUN = ("tests/test_specfun.py",)
 CSV_BLOCKS = ("tests/test_combine.py::TestCsvBlocks",)
 KS = ("tests/test_simulate.py::TestDistributionReport",)
+TAILS = ("tests/test_simulate.py::TestBinomialTails",)
+# a uniform chunk's alpha tests, then its ln p in place
+CHUNK_HITS = ("        hits = [int(np.count_nonzero(np.less_equal(p, a, out=hit[:p.size])))"
+              " for a in alphas]\n")
+CHUNK_LOG = "        total = -float(np.log(p, out=p).sum())  # negation is exact: the sum of -ln p\n"
 
 MUTANTS = [
     # the incomplete-gamma kernel
@@ -81,10 +86,15 @@ MUTANTS = [
            """raise OverflowError(f"study {studies.ids[i]!r}: {exc}") from None""", "raise",
            ("tests/test_combine.py::TestCompareMethods",)),
     # simulate
-    Mutant("chunk-total-drops-a-draw", "simulate.py",
-           "total = -float(p.sum())", "total = -float(p[1:].sum())", ("tests/test_simulate.py",)),
+    Mutant("chunk-hits-after-log", "simulate.py", CHUNK_HITS + CHUNK_LOG,
+           CHUNK_LOG + CHUNK_HITS, ("tests/test_simulate.py",)),
+    Mutant("chunk-total-drops-a-draw", "simulate.py", "total = -float(np.log(p, out=p).sum())",
+           "total = -float(np.log(p, out=p)[1:].sum())", ("tests/test_simulate.py",)),
     Mutant("chunk-m2-sign", "simulate.py",
            "np.add(p, mean, out=p)", "np.subtract(p, mean, out=p)", ("tests/test_simulate.py",)),
+    Mutant("tails-uncapped", "simulate.py", "min(acc / total, 1.0)", "acc / total", TAILS),
+    Mutant("tails-summed-from-x-1-up", "simulate.py",
+           "accumulate(pmf[:0:-1])", "accumulate(pmf[1:])", TAILS),
     Mutant("pool-sums-by-sum", "simulate.py",
            "mean_nats = math.fsum(sums) / n", "mean_nats = sum(sums) / n",
            ("tests/test_simulate.py::TestPooling",)),
