@@ -323,11 +323,11 @@ def compare_methods(studies: StudyTable, null_value: float = 0.0) -> MethodCompa
 
 def _read_plain(block: list[str], ids: list[str], columns: list[array]) -> bool:
     """Append the studies of `block` and return True if each of its lines is a plain row
-    (no quote or NUL, none past the csv field limit, one field per column) that csv would
-    read by splitting it at its commas, and each passes the checks; else return False and
-    change nothing."""
+    (no quote, none past the csv field limit, one field per column) that csv would read by
+    splitting it at its commas, and each passes the checks; else return False and change
+    nothing."""
     text, width = ",".join(block), len(columns) + 1
-    if ('"' in text or "\0" in text or max(map(len, block)) > csv.field_size_limit()
+    if ('"' in text or max(map(len, block)) > csv.field_size_limit()
             or set(map(str.count, block, repeat(","))) != {width - 1}):
         return False
     fields = text.split(",")  # the last field of each line keeps its line end; float strips it

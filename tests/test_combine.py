@@ -574,13 +574,13 @@ IRREGULAR = {  # one line that the block reader must leave to the csv row loop
         "blank-cells": " , \n",
         "quoted-id": '"x,\ny",0.5\n',
         "quoted-plain-id": '"x ""y""",0.5\n',  # csv reads the id x "y"
-        "nul-in-id": "x\0y,0.5\n",
         "field-over-limit": "x" * (LIMIT + 1) + ",0.5\n",
         "line-over-limit": "x" * (LIMIT - 1) + ",0.5\n",
         "p-zero": "x,0\n",
         "p-nan": "x,nan\n",
         "p-underflows": "x,1e-400\n",
         "not-a-number": "x,zero\n",
+        "nul-in-p": "x,0.5\0\n",
         "three-fields": "x,0.5,9\n",
         "one-field": "x\n",
     },
@@ -643,8 +643,28 @@ class TestCsvBlocks:
         line = len(lines) + 2  # the header, and the quoted id's second line
         assert read_both(path) == f"line {line}: could not convert string to float: 'zero'"
 
-    @pytest.mark.parametrize("form", ["p", "effect"])
-    def test_plain_file_builds_no_csv_rows_past_the_header(self, tmp_path, monkeypatch, form):
+    @pytest.mark.parametrize("body, ids", [
+        ("id,p\n a ,0.05\nb , 0.2\n", ("a", "b")),
+        ('id,p\n"q",0.5\n a ,0.05\n', ("q", "a")),
+        (" ID , P \n a ,0.05\nb , 0.2\n", ("a", "b")),
+    ], ids=["bulk-block", "after-irregular-line", "header"])
+    def test_ids_and_header_names_are_stripped(self, tmp_path, body, ids):
+        path = tmp_path / "s.csv"
+        path.write_text(body, encoding="utf-8")
+        assert read_both(path)[0] == ids
+
+    # csv reads a line that holds NUL as the block reader's split does
+    @pytest.mark.parametrize("form, line", [("p", ""), ("effect", ""), ("p", "x\0y,0.5\n")],
+                             ids=["p", "effect", "p-nul-in-id"])
+    def test_plain_file_builds_no_csv_rows_past_the_header(self, tmp_path, monkeypatch, form,
+                                                           line):
+        lines = plain_lines(form, "count")
+        if line:
+            lines.insert(block_starts(lines)[1] + 7, line)
+        path = tmp_path / "s.csv"
+        path.write_text(HEADERS[form] + "\n" + "".join(lines), encoding="utf-8")
+        ids_, _ = read_both(path)
+        assert ids_.count("x\0y") == bool(line)
         rows, csv_reader = [], csv.reader
 
         class CountingReader:
@@ -663,9 +683,6 @@ class TestCsvBlocks:
                 return self.reader.line_num
 
         monkeypatch.setattr(combine.csv, "reader", CountingReader)
-        lines = plain_lines(form, "count")
-        path = tmp_path / "s.csv"
-        path.write_text(HEADERS[form] + "\n" + "".join(lines), encoding="utf-8")
         assert len(studies_from_csv(path)) == len(lines)
         assert rows == [HEADERS[form].split(",")]
 
