@@ -5,7 +5,7 @@ usage or domain error or numpy missing for `simulate`. Records are printed as th
 library returns them: a value it cannot give is None with a note (at the end of JSON,
 on stderr for CSV and tables), and an S-value that would overflow is refused with an
 OverflowError, which exits 2. JSON is strict (no NaN/Infinity literals) with
-full-precision numbers; tables round to 4 significant figures.
+full-precision numbers; tables round to 4 significant figures (a curve's table is CSV).
 
 A call loads only what it runs: `import svalue.cli` loads `units` and the `specfun`
 it imports alone, each subcommand imports its own library module, and an output
@@ -29,14 +29,13 @@ def _fmt_table(value: Any) -> str:
     return str(value)
 
 
-def _flatten(payload: dict, prefix: str = "") -> dict[str, Any]:
+def _flatten(payload: dict) -> dict[str, Any]:
     flat: dict[str, Any] = {}
     for k, v in payload.items():
-        key = f"{prefix}{k}"
-        if isinstance(v, dict):
-            flat.update(_flatten(v, f"{key}."))
+        if isinstance(v, dict):  # a nested record: the compare record's two methods
+            flat.update({f"{k}.{ik}": iv for ik, iv in v.items()})
         else:
-            flat[key] = v
+            flat[k] = v
     return flat
 
 
@@ -44,8 +43,8 @@ def _emit(payload: dict | list[dict], fmt: str) -> None:
     """Write one record (a dict) or a table of rows (a list of dicts) to stdout.
 
     JSON records always end in a notes list; CSV and tables flatten nested
-    records to dotted keys and send notes to stderr. CSV drops the unit column
-    of rows; tables round.
+    records to dotted keys and send notes to stderr. A table of rows prints as
+    CSV in either format, without its unit column; a record's table rounds.
     """
     if fmt == "json":
         import json
@@ -55,7 +54,7 @@ def _emit(payload: dict | list[dict], fmt: str) -> None:
         return
     rows = [_flatten(r) for r in (payload if isinstance(payload, list) else [payload])]
     notes = rows[0].pop("notes", ())
-    if fmt == "csv":
+    if fmt == "csv" or isinstance(payload, list):
         import csv
         header = [k for k in rows[0] if k != "unit"]
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -97,16 +96,19 @@ def cmd_convert(args: argparse.Namespace) -> dict:
 def cmd_combine(args: argparse.Namespace) -> dict:
     from .combine import (_study_z_scores, compare_methods, pooled_homogeneity_test,
                           s_summation_test, studies_from_csv, z_squared_test)
-    studies = studies_from_csv(args.input)
     method = args.method
+    if method == "s-sum" and args.null is not None:
+        raise ValueError("--null goes with z2, pooled and compare, not with s-sum")
+    null = 0.0 if args.null is None else args.null
+    studies = studies_from_csv(args.input)
     if method == "s-sum":
         return {"method": method, **_record(s_summation_test(studies))}
     if method == "z2":
-        z_scores = _study_z_scores(studies, args.null, "z_squared_test")
+        z_scores = _study_z_scores(studies, null, "z_squared_test")
         return {"method": method, **_record(z_squared_test(z_scores))}
     if method == "pooled":
-        return {"method": method, **_record(pooled_homogeneity_test(studies, args.null))}
-    cmp_ = compare_methods(studies, args.null)
+        return {"method": method, **_record(pooled_homogeneity_test(studies, null))}
+    cmp_ = compare_methods(studies, null)
     s_sum = _record(cmp_.s_summation)
     pooled = _rename(_record(cmp_.pooled), "p_two_sided", "p_summary")
     return {
@@ -172,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_comb.add_argument("--input", required=True, help="CSV with id,p or id,estimate,std_error")
     p_comb.add_argument("--method", choices=("s-sum", "z2", "pooled", "compare"),
                         default="s-sum")
-    p_comb.add_argument("--null", type=float, default=0.0,
-                        help="null value for effect-form methods (default: 0)")
+    p_comb.add_argument("--null", type=float,
+                        help="null value for z2, pooled and compare, not s-sum (default: 0)")
     p_comb.set_defaults(func=cmd_combine)
 
     p_cal = sub.add_parser("calibrate", parents=[common], help="calibrate one P-value")
@@ -207,11 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    fmt = args.format
-    if args.command == "simulate":
-        fmt = "json"  # simulation output is always machine-stable JSON
-    elif args.command == "curve" and fmt == "table":
-        fmt = "csv"  # a curve is a grid of rows; its table form is CSV
+    fmt = "json" if args.command == "simulate" else args.format  # simulate: stable JSON
     try:
         _emit(args.func(args), fmt)
     except (ValueError, ArithmeticError, ModuleNotFoundError) as exc:

@@ -285,7 +285,7 @@ def evalue_check(
     mean, se = summary.mean_s_nats, summary.se_of_mean
     margin = 0.0 if se is None else 3.0 * se
     return EValueCheck(
-        n=n,
+        n=summary.n,
         generator=generator,
         mean_e_condition=mean,
         se_of_mean=se,

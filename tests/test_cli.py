@@ -229,6 +229,14 @@ class TestCombine:
         assert (code, out) == (2, "")
         assert err == f"error: {route} needs columns {need}; the studies carry {have}\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_null_with_s_sum_is_refused(self, capsys, p_csv, fmt):
+        # s-sum combines P-values whose hypotheses are fixed: it has no null to set
+        code, out, err = run(capsys, "combine", "--input", p_csv, "--method", "s-sum",
+                             "--null", "0", "--format", fmt)
+        assert (code, out, err) == (
+            2, "", "error: --null goes with z2, pooled and compare, not with s-sum\n")
+
 
 class TestCalibrate:
     def test_full_report_json(self, capsys):

@@ -20,7 +20,7 @@ import pytest
 from svalue.calibrate import calibration_report
 from svalue.cli import main
 from svalue.curves import EstimateSpec, curve_point
-from svalue.units import InfoUnit, PValue
+from svalue.units import InfoUnit, PValue, SValue, conversion_report
 
 # From the smallest subnormal to near the largest double. z^2 overflows past
 # |z| ~ 1.34e154, so 1.3e154 is a z whose square is finite and 1.4e154 one whose
@@ -66,8 +66,9 @@ def _argv(rnd, route, study_file):
         rows = [f"s{i},{e!r},{se!r}" for i, (e, se) in enumerate(pairs)]
         study_file.write_text("id,estimate,std_error\n" + "\n".join(rows) + "\n",
                               encoding="utf-8")
-    return ["combine", f"--input={study_file}", f"--method={method}",
-            f"--null={rnd.choice((0.0, _signed(rnd)))!r}"]
+    null = f"--null={rnd.choice((0.0, _signed(rnd)))!r}"  # drawn for s-sum too, not passed
+    return ["combine", f"--input={study_file}", f"--method={method}"] + (
+        [] if method == "s-sum" else [null])
 
 
 def _reject_constant(const):
@@ -176,6 +177,10 @@ KNOWN_FAILURES = [
     # S past ~745 nats has no P, but coin_tosses is round(S in bits)
     pytest.param(lambda: _cli_json("convert", "--s=2000", "--from-unit=nats")["coin_tosses"],
                  2885, id="item3-convert-s-2000-nats"),
+    # sigma at 745 nats is taken at the rounded P (5e-324); the root of ln Phi(-t) = -745
+    # (mpmath findroot, 60 digits)
+    pytest.param(lambda: conversion_report(SValue(745.0, InfoUnit.NATS)).sigma,
+                 38.4819489643302001411685200475, id="item18-convert-sigma-745-nats"),
 ]
 
 

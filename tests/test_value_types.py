@@ -17,6 +17,7 @@ from svalue.curves import EstimateSpec, curve
 from svalue.simulate import (
     RngSpec,
     binomial_upper_tail_pvalues,
+    evalue_check,
     simulate_exact_binomial,
     simulate_uniform_p,
 )
@@ -112,6 +113,8 @@ INTEGER_SITES = {
         lambda k: simulate_exact_binomial(k, 10, 0.5, RngSpec(1)), 1000),
     "simulate_exact_binomial.trials": (
         lambda k: simulate_exact_binomial(1000, k, 0.5, RngSpec(1)), 10),
+    "evalue_check.n.uniform": (lambda k: evalue_check(k, RngSpec(1)), 1000),
+    "evalue_check.n.binomial": (lambda k: evalue_check(k, RngSpec(1), "binomial", 10, 0.5), 1000),
 }
 
 

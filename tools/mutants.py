@@ -117,6 +117,16 @@ MUTANTS = [
            "np.arange(1, nb + 1) / nb - (end - c) / n)",
            "top = end / n - np.arange(nb) / nb", KS),
     Mutant("ks-nan-unchecked", "simulate.py", "if np.isnan(fx.max()):", "if False:", KS),
+    Mutant("evalue-n-as-given", "simulate.py", "n=summary.n,", "n=n,",
+           ("tests/test_value_types.py",)),
+    # the CLI
+    Mutant("emit-row-table-by-format-only", "cli.py",
+           'if fmt == "csv" or isinstance(payload, list):', 'if fmt == "csv":',
+           ("tests/test_cli.py",)),
+    Mutant("null-with-s-sum-accepted", "cli.py",
+           '    if method == "s-sum" and args.null is not None:\n'
+           '        raise ValueError("--null goes with z2, pooled and compare, not with s-sum")\n',
+           "", ("tests/test_cli.py::TestCombine",)),
     # package
     Mutant("cli-imports-dataclasses", "cli.py",
            "import argparse\n", "import argparse\nimport dataclasses\n", ("tests/test_package.py",)),
