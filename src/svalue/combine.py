@@ -117,7 +117,7 @@ class StudyTable:
 
 
 def _table(ids: tuple[str, ...], columns: Sequence[array]) -> StudyTable:
-    """The one maker of a StudyTable, from `ids` and columns that _check_studies passed."""
+    """The one maker of a StudyTable, from `ids` and columns whose studies passed their checks."""
     table = object.__new__(StudyTable)
     object.__setattr__(table, "ids", ids)
     object.__setattr__(table, "columns", tuple(memoryview(col).toreadonly() for col in columns))
@@ -125,7 +125,8 @@ def _table(ids: tuple[str, ...], columns: Sequence[array]) -> StudyTable:
 
 
 def _check_studies(ids: Sequence[str], columns: Sequence[Sequence[float]]) -> None:
-    """The one check of studies, by _check_p or _check_effect: raises the first one's error."""
+    """The check of from_columns' and _read_plain's studies, by _check_p or _check_effect:
+    raises the first one's error. The csv row loop calls the row's check itself."""
     checks = map(_check_effect, ids, *columns) if columns[1:] else map(_check_p, columns[0])
     deque(checks, 0)  # runs each study's check
 
@@ -383,7 +384,7 @@ def studies_from_csv(path: str | os.PathLike) -> StudyTable:
                     if len(row) != len(header):
                         raise ValueError(f"expected {len(header)} fields, got {len(row)}")
                     id_, values = row[0].strip(), [float(v) for v in row[1:]]
-                    _check_studies((id_,), [(v,) for v in values])
+                    _check_effect(id_, *values) if values[1:] else _check_p(*values)
                 except ValueError as exc:
                     if any(cell.strip() for cell in row):
                         raise SchemaError(f"line {lines_before + reader.line_num}: {exc}") from None

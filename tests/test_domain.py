@@ -20,6 +20,7 @@ import pytest
 from svalue.calibrate import calibration_report
 from svalue.cli import main
 from svalue.curves import EstimateSpec, curve_point
+from svalue.specfun import log_reg_gamma_upper
 from svalue.units import InfoUnit, PValue, SValue, conversion_report
 
 # From the smallest subnormal to near the largest double. z^2 overflows past
@@ -181,6 +182,10 @@ KNOWN_FAILURES = [
     # (mpmath findroot, 60 digits)
     pytest.param(lambda: conversion_report(SValue(745.0, InfoUnit.NATS)).sigma,
                  38.4819489643302001411685200475, id="item18-convert-sigma-745-nats"),
+    # ln Q(a, a) at a = 2^53, where a + 1 == a: the continued fraction's first b = x + 1 - a
+    # is 0 and 1 / b raises. ln(1/2 - 1/(3 sqrt(2 pi a))), whose rest is ~9e-28 here
+    pytest.param(lambda: log_reg_gamma_upper(2.0**53, 2.0**53),
+                 -0.693147183362305289455474870641, id="item4-gamma-x-eq-a-at-2-53"),
 ]
 
 

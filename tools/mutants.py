@@ -85,6 +85,9 @@ MUTANTS = [
     Mutant("bulk-read-ids-unstripped", "combine.py",
            "list(map(str.strip, fields[0::width]))", "fields[0::width]", CSV_BLOCKS),
     Mutant("row-loop-ids-unstripped", "combine.py", "row[0].strip()", "row[0]", CSV_BLOCKS),
+    Mutant("row-loop-check-dropped", "combine.py",
+           "                    _check_effect(id_, *values) if values[1:] else _check_p(*values)\n",
+           "", CSV_BLOCKS),
     Mutant("header-unstripped", "combine.py", "h.strip().lower()", "h.lower()", CSV_BLOCKS),
     Mutant("compare-study-overflow-unnamed", "combine.py",
            """raise OverflowError(f"study {studies.ids[i]!r}: {exc}") from None""", "raise",
