@@ -29,7 +29,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress, count, repeat
 from typing import NamedTuple
 
-from .specfun import ChiSquare, _two_sided_tail, log_chisq_survival
+from .specfun import ChiSquare, _checked_real, _two_sided_tail, log_chisq_survival
 from .units import InfoUnit, SValue, _check_p
 
 Z_SQUARED_DF_CAVEAT = (
@@ -110,10 +110,9 @@ class StudyTable:
         return len(self.ids)
 
     def __iter__(self) -> Iterator[Study]:
-        rows = zip(self.ids, *self.columns)
         if len(self.columns) == 1:
-            return (Study(id_, p) for id_, p in rows)
-        return (Study(id_, None, estimate, std_error) for id_, estimate, std_error in rows)
+            return map(Study, self.ids, *self.columns)
+        return map(Study, self.ids, repeat(None), *self.columns)
 
 
 def _table(ids: tuple[str, ...], columns: Sequence[array]) -> StudyTable:
@@ -256,8 +255,7 @@ def pooled_homogeneity_test(studies: StudyTable, null_value: float = 0.0) -> Poo
     so the pooled z-test has 1 df regardless of K.
     """
     estimate, std_error = _columns(studies, "pooled_homogeneity_test", p_form=False)
-    if not math.isfinite(null_value):
-        raise ValueError(f"null value must be finite, got {null_value!r}")
+    null_value = _checked_real(null_value, "null value must be finite")
     # Weights relative to the smallest std error neither underflow nor overflow.
     se_min = min(std_error)
     weights = [(se_min / se) ** 2 for se in std_error]
@@ -286,8 +284,7 @@ def pooled_homogeneity_test(studies: StudyTable, null_value: float = 0.0) -> Poo
 def _study_z_scores(studies: StudyTable, null_value: float, test: str) -> list[float]:
     """Each study's (estimate - null) / std_error for `test`, naming a study whose z overflows."""
     estimate, std_error = _columns(studies, test, p_form=False)
-    if not math.isfinite(null_value):
-        raise ValueError(f"null value must be finite, got {null_value!r}")
+    null_value = _checked_real(null_value, "null value must be finite")
     z_scores = [(e - null_value) / se for e, se in zip(estimate, std_error)]
     for i, z in enumerate(z_scores):
         if math.isinf(z):

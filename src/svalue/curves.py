@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .specfun import _SQRT2, _checked_int, _checked_make, _two_sided_tail
+from .specfun import _SQRT2, _checked_int, _checked_make, _checked_real, _two_sided_tail
 from .units import InfoUnit, SValue
 
 
@@ -23,10 +23,8 @@ class EstimateSpec(NamedTuple("EstimateSpec", [("estimate", float), ("std_error"
     _make = classmethod(_checked_make)
 
     def __new__(cls, estimate: float, std_error: float) -> EstimateSpec:
-        if not math.isfinite(estimate):
-            raise ValueError(f"estimate must be finite, got {estimate!r}")
-        if not 0.0 < std_error < math.inf:
-            raise ValueError(f"std_error must be positive and finite, got {std_error!r}")
+        estimate = _checked_real(estimate, "estimate must be finite")
+        std_error = _checked_real(std_error, "std_error must be positive and finite", 0.0)
         return tuple.__new__(cls, (estimate, std_error))
 
 
@@ -41,8 +39,7 @@ class CurvePoint(NamedTuple):
 
 def curve_point(spec: EstimateSpec, mu1: float, unit: InfoUnit = InfoUnit.BITS) -> CurvePoint:
     """The one-sided and two-sided P-/S-values at one hypothesized value mu1."""
-    if not math.isfinite(mu1):
-        raise ValueError(f"mu1 must be finite, got {mu1!r}")
+    mu1 = _checked_real(mu1, "mu1 must be finite")
     return _point(spec.estimate, spec.std_error, mu1, unit.nats_per_unit, unit)
 
 
@@ -72,9 +69,7 @@ def curve(
 ) -> list[CurvePoint]:
     """Tabulate the P-/S-value functions on a closed, equally spaced grid."""
     steps = _checked_int(steps, "steps must be an integer >= 2", 2)
-    from_, to = float(from_), float(to)
-    if not (math.isfinite(from_) and math.isfinite(to)):
-        raise ValueError("grid endpoints must be finite")
+    from_, to = (_checked_real(v, "grid endpoints must be finite") for v in (from_, to))
     if not (from_ < to):
         raise ValueError(f"grid requires from < to, got [{from_}, {to}]")
     width = to - from_

@@ -47,7 +47,7 @@ from collections.abc import Sequence
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
-from .specfun import _checked_int, _checked_make
+from .specfun import _checked_int, _checked_make, _checked_real
 from .units import InfoUnit
 
 if TYPE_CHECKING:
@@ -115,12 +115,9 @@ class DistributionReport(NamedTuple):
 
 
 def _check_alphas(alphas: Sequence[float]) -> list[float]:
-    """The distinct alpha levels in first-seen order, each checked to lie in (0, 1)."""
-    out = list(dict.fromkeys(map(float, alphas)))
-    for a in out:
-        if not 0.0 < a < 1.0:
-            raise ValueError(f"alpha levels must lie in (0, 1), got {a!r}")
-    return out
+    """The distinct alpha levels in first-seen order, as floats, each checked as given in (0, 1)."""
+    return list(dict.fromkeys(_checked_real(a, "alpha levels must lie in (0, 1)", 0.0, 1.0)
+                              for a in alphas))
 
 
 def _uniform_groups(rng: RngSpec, n: int, first: int, last: int, alphas: list[float]) -> list:
@@ -215,8 +212,7 @@ def binomial_upper_tail_pvalues(trials: int, theta0: float) -> list[float]:
     terms' fsum. No normal approximation anywhere.
     """
     trials = _checked_int(trials, "trials must be a positive integer")
-    if not 0.0 < theta0 < 1.0:
-        raise ValueError(f"theta0 must lie in (0, 1), got {theta0!r}")
+    theta0 = _checked_real(theta0, "theta0 must lie in (0, 1)", 0.0, 1.0)
     mode = min(int((trials + 1) * theta0), trials)
     up, down = theta0 / (1.0 - theta0), (1.0 - theta0) / theta0
     pmf = [0.0] * (trials + 1)  # pmf(x) / pmf(mode); a far term may underflow to 0

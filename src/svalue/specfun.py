@@ -56,6 +56,14 @@ def _checked_int(v, what: str, low: float = 1, high: float = math.inf) -> int:
     raise ValueError(f"{what}, got {v!r}")
 
 
+def _checked_real(v, what: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """float(v) for an int or float (numpy's float64 too) in (low, high);
+    else ValueError(f"{what}, got {v!r}"), as for a bool, str, None or NaN."""
+    if not isinstance(v, bool) and isinstance(v, (int, float)) and low < v < high:
+        return float(v)
+    raise ValueError(f"{what}, got {v!r}")
+
+
 class ChiSquare(NamedTuple("ChiSquare", [("df", int)])):
     """Chi-squared distribution with a positive integer number of df."""
 

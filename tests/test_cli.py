@@ -110,14 +110,14 @@ class TestConvert:
 @pytest.fixture
 def p_csv(tmp_path):
     f = tmp_path / "p.csv"
-    f.write_text("id,p\na,0.05\nb,0.05\n", encoding="utf-8")
+    f.write_text(GOLDEN_INPUTS["p_csv"], encoding="utf-8")
     return str(f)
 
 
 @pytest.fixture
 def effect_csv(tmp_path):
     f = tmp_path / "e.csv"
-    f.write_text("id,estimate,std_error\na,0.3,0.1\nb,0.5,0.2\n", encoding="utf-8")
+    f.write_text(GOLDEN_INPUTS["effect_csv"], encoding="utf-8")
     return str(f)
 
 

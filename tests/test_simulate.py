@@ -80,7 +80,7 @@ class TestCheckAlphas:
         assert _check_alphas([0.1, 0.05, np.float64(0.05), 0.1, 0.01]) == [0.1, 0.05, 0.01]
         assert [type(a) for a in _check_alphas([np.float64(0.05)])] == [float]
 
-    @pytest.mark.parametrize("alpha, shown", [(1.0, "1.0"), (math.nan, "nan")])
+    @pytest.mark.parametrize("alpha, shown", [(1.0, "1.0"), (math.nan, "nan"), ("0.05", "'0.05'")])
     def test_a_level_outside_the_unit_interval_is_named(self, alpha, shown):
         message = f"alpha levels must lie in (0, 1), got {shown}"
         with pytest.raises(ValueError, match=re.escape(message) + "$"):

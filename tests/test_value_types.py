@@ -4,6 +4,9 @@ Each is a read-only named tuple whose construction checks its fields. The same
 checks run on every route to an instance: the constructor, `_make` and
 `_replace`; unpickling goes through the constructor. An integer field, like
 every count argument of the library, takes numpy's integers and stores an int.
+A real field, like every real argument the library checks as given, takes an
+int or a float (numpy's float64 too) and stores a float; a bool, a str or None
+is refused with ValueError.
 """
 
 import math
@@ -13,7 +16,8 @@ import re
 import pytest
 
 from svalue.calibrate import calibration_report
-from svalue.curves import EstimateSpec, curve
+from svalue.combine import StudyTable, compare_methods, pooled_homogeneity_test
+from svalue.curves import EstimateSpec, curve, curve_point
 from svalue.simulate import (
     RngSpec,
     binomial_upper_tail_pvalues,
@@ -51,8 +55,11 @@ BAD = [
     (ChiSquare, "df", 0, "df must be >= 1, got 0"),
     (EstimateSpec, "estimate", math.nan, "estimate must be finite, got nan"),
     (EstimateSpec, "estimate", -math.inf, "estimate must be finite, got -inf"),
+    (EstimateSpec, "estimate", True, "estimate must be finite, got True"),
+    (EstimateSpec, "estimate", "1", "estimate must be finite, got '1'"),
     (EstimateSpec, "std_error", 0.0, "std_error must be positive and finite, got 0.0"),
     (EstimateSpec, "std_error", math.inf, "std_error must be positive and finite, got inf"),
+    (EstimateSpec, "std_error", "0.5", "std_error must be positive and finite, got '0.5'"),
     (RngSpec, "seed", -1, "seed must be an integer in [0, 2^64), got -1"),
     (RngSpec, "seed", 1.5, "seed must be an integer in [0, 2^64), got 1.5"),
     (RngSpec, "stream", 2**64, "stream must be an integer in [0, 2^64), got 18446744073709551616"),
@@ -128,3 +135,42 @@ def test_integer_arguments_take_numpy_integers_and_store_an_int(call, k):
     for bad in (True, np.float64(2.0)):
         with pytest.raises(ValueError, match=re.escape(f", got {bad!r}")):
             call(bad)
+
+
+EFFECTS = StudyTable.from_columns(["a", "b"], [0.3, 0.5], [0.1, 0.2])
+# each real field and argument, as a call of one real x, and an int it takes (None where
+# its range holds no int)
+REAL_SITES = {
+    "EstimateSpec.estimate": (lambda x: EstimateSpec(x, 0.5), 1),
+    "EstimateSpec.std_error": (lambda x: EstimateSpec(1.2, x), 2),
+    "curve_point.mu1": (lambda x: curve_point(EstimateSpec(1.2, 0.5), x), 1),
+    "curve.from_": (lambda x: curve(EstimateSpec(1.2, 0.5), x, 2.0, 5), 0),
+    "curve.to": (lambda x: curve(EstimateSpec(1.2, 0.5), 0.0, x, 5), 2),
+    "pooled_homogeneity_test.null_value": (lambda x: pooled_homogeneity_test(EFFECTS, x), 1),
+    "compare_methods.null_value": (lambda x: compare_methods(EFFECTS, x), 1),
+    "simulate_uniform_p.alphas": (lambda x: simulate_uniform_p(1000, RngSpec(1), [x]), None),
+    "binomial_upper_tail_pvalues.theta0": (lambda x: binomial_upper_tail_pvalues(10, x), None),
+}
+INT_REAL_SITES = {name: site for name, site in REAL_SITES.items() if site[1] is not None}
+
+
+@pytest.mark.parametrize("call, k", INT_REAL_SITES.values(), ids=INT_REAL_SITES)
+def test_real_arguments_store_an_int_as_a_float(call, k):
+    assert repr(call(k)) == repr(call(float(k)))  # an int field would show in the repr
+
+
+@pytest.mark.parametrize("bad", [True, "0.5", None])
+@pytest.mark.parametrize("call", [call for call, _ in REAL_SITES.values()], ids=REAL_SITES)
+def test_real_arguments_refuse_a_bool_str_or_none(call, bad):
+    with pytest.raises(ValueError, match=re.escape(f", got {bad!r}") + "$"):
+        call(bad)
+
+
+@pytest.mark.numpy
+def test_real_fields_store_numpy_float64_as_a_float_and_refuse_float32():
+    np = pytest.importorskip("numpy")
+    spec = EstimateSpec(np.float64(1.2), 0.5)
+    assert type(spec.estimate) is float and spec == EstimateSpec(1.2, 0.5)
+    bad = np.float32(1.2)
+    with pytest.raises(ValueError, match=re.escape(f", got {bad!r}") + "$"):
+        EstimateSpec(bad, 0.5)

@@ -47,6 +47,14 @@ CHUNK_HITS = ("        hits = [int(np.count_nonzero(np.less_equal(p, a, out=hit[
 CHUNK_LOG = "        total = -float(np.log(p, out=p).sum())  # negation is exact: the sum of -ln p\n"
 
 MUTANTS = [
+    # the checks of real arguments
+    Mutant("real-check-takes-bool", "specfun.py",
+           "not isinstance(v, bool) and isinstance(v, (int, float))", "isinstance(v, (int, float))",
+           ("tests/test_value_types.py",)),
+    Mutant("real-check-takes-str", "specfun.py",
+           "isinstance(v, (int, float)) and low < v", "low < v", ("tests/test_value_types.py",)),
+    Mutant("real-check-stores-as-given", "specfun.py", "return float(v)", "return v",
+           ("tests/test_value_types.py",)),
     # the incomplete-gamma kernel
     Mutant("series-cut-at-1e-7", "specfun.py",
            "if total + term == total:", "if term < 1e-7 * total:",
