@@ -40,16 +40,16 @@ def calibration_report(p: PValue, d: int = 1) -> CalibrationReport:
     where it is finite. Anything inapplicable is None with an explanatory note.
     """
     d = _checked_int(d, "restriction dimension d must be a positive integer")
-    if p.value == 1.0:
+    if (p := p.value) == 1.0:  # p is the float from here on
         raise ValueError("calibration_report requires p < 1")
     notes: list[str] = []
     mlr = deviance = aic_delta = None
     if d == 1:
         try:  # exp overflows below p ~ 1e-310; at 5e-324, p / 2 underflows and the quantile raises
-            z = -normal_quantile(p.value / 2.0)  # = Phi^-1(1 - p/2), tail-safe form
+            z = -normal_quantile(p / 2.0)  # = Phi^-1(1 - p/2), tail-safe form
             mlr = math.exp(z * z / 2.0)
         except (ValueError, OverflowError):
-            raise OverflowError(f"the MLR exp(z^2 / 2) overflows at p = {p.value!r}") from None
+            raise OverflowError(f"the MLR exp(z^2 / 2) overflows at p = {p!r}") from None
         deviance = 2.0 * math.log(mlr)
         aic_delta = deviance - 2.0 * d
     else:
@@ -57,17 +57,18 @@ def calibration_report(p: PValue, d: int = 1) -> CalibrationReport:
             f"MLR fields omitted: the normal-test MLR is implemented for d = 1 only (got d = {d})"
         )
     b = odds = cond = None
-    if p.value < BF_BOUND_MAX_P:
-        ep = math.e * p.value  # subnormal below p ~ 8.2e-309, so there ln p takes e first
-        b = -ep * math.log(p.value) if ep >= 2.0**-1022 else p.value * (-math.e * math.log(p.value))
+    if p < BF_BOUND_MAX_P:
+        ep = math.e * p  # subnormal below p ~ 8.2e-309, so there ln p takes e first
+        b = -ep * math.log(p) if ep >= 2.0**-1022 else p * (-math.e * math.log(p))
         odds = 1.0 / b
         cond = 1.0 / (1.0 + odds)
         if math.isinf(odds):  # b is subnormal below p ~ 1e-308; 1 / (1 + 1/b) would read 0
             odds, cond = None, b / (1.0 + b)
-            notes.append(f"odds_increase_bound omitted: 1/b overflows at p = {p.value!r}")
+            notes.append(f"odds_increase_bound omitted: 1/b overflows at p = {p!r}")
     else:
         notes.append(
             f"Bayes-factor fields omitted: the bound -e*p*ln(p) requires p < 1/e "
-            f"= {BF_BOUND_MAX_P:.4f} (got p = {p.value})"
+            f"= {BF_BOUND_MAX_P:.4f} (got p = {p})"
         )
-    return CalibrationReport(p.value, d, mlr, deviance, aic_delta, b, odds, cond, tuple(notes))
+    fields = (p, d, mlr, deviance, aic_delta, b, odds, cond, tuple(notes))
+    return tuple.__new__(CalibrationReport, fields)  # all nine, in order: no Python frame

@@ -27,6 +27,7 @@ from array import array
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress, count, repeat
+from operator import mul
 from typing import NamedTuple
 
 from .specfun import ChiSquare, _checked_real, _two_sided_tail, log_chisq_survival
@@ -110,9 +111,9 @@ class StudyTable:
         return len(self.ids)
 
     def __iter__(self) -> Iterator[Study]:
-        if len(self.columns) == 1:
-            return map(Study, self.ids, *self.columns)
-        return map(Study, self.ids, repeat(None), *self.columns)
+        none = repeat(None)  # a p-form row has no estimate or std_error, an effect-form row no p
+        cols = (*self.columns, none, none) if len(self.columns) == 1 else (none, *self.columns)
+        return map(tuple.__new__, repeat(Study), zip(self.ids, *cols))  # no Python frame per row
 
 
 def _table(ids: tuple[str, ...], columns: Sequence[array]) -> StudyTable:
@@ -207,7 +208,7 @@ def s_summation_test(studies: StudyTable) -> CombinationReport:
     2 * s_plus referred to chi-squared on 2K df.
     """
     (p,) = _columns(studies, "s_summation_test", p_form=True)
-    return _s_summation(len(p), (-2.0 * math.log(v) for v in p))
+    return _s_summation(len(p), map(mul, repeat(-2.0), map(math.log, p)))
 
 
 def _s_summation(k: int, terms: Iterable[float]) -> CombinationReport:
@@ -261,7 +262,7 @@ def pooled_homogeneity_test(studies: StudyTable, null_value: float = 0.0) -> Poo
     weights = [(se_min / se) ** 2 for se in std_error]
     total_w = math.fsum(weights)
     try:
-        pooled_estimate = math.fsum(w * e for w, e in zip(weights, estimate)) / total_w
+        pooled_estimate = math.fsum(map(mul, weights, estimate)) / total_w
     except OverflowError:  # the weighted sum passes the largest double; the mean does not
         e_max = max(map(abs, estimate))
         scaled = math.fsum(w * (e / e_max) for w, e in zip(weights, estimate))
@@ -286,11 +287,10 @@ def _study_z_scores(studies: StudyTable, null_value: float, test: str) -> list[f
     estimate, std_error = _columns(studies, test, p_form=False)
     null_value = _checked_real(null_value, "null value must be finite")
     z_scores = [(e - null_value) / se for e, se in zip(estimate, std_error)]
-    for i, z in enumerate(z_scores):
-        if math.isinf(z):
-            raise OverflowError(
-                f"study {studies.ids[i]!r}: the z-score (estimate - null) / std_error overflows"
-            )
+    if any(map(math.isinf, z_scores)):
+        i = list(map(math.isinf, z_scores)).index(True)
+        raise OverflowError(
+            f"study {studies.ids[i]!r}: the z-score (estimate - null) / std_error overflows")
     return z_scores
 
 
@@ -320,15 +320,17 @@ def compare_methods(studies: StudyTable, null_value: float = 0.0) -> MethodCompa
 
 
 def _read_plain(block: list[str], ids: list[str], columns: list[array]) -> bool:
-    """Append the studies of `block` and return True if each of its lines is a plain row
-    (no quote, none past the csv field limit, one field per column) that csv would read by
-    splitting it at its commas, and each passes the checks; else return False and change
-    nothing."""
-    text, width = ",".join(block), len(columns) + 1
-    if ('"' in text or max(map(len, block)) > csv.field_size_limit()
-            or set(map(str.count, block, repeat(","))) != {width - 1}):
+    """Append the studies of `block` and return True if each line is a plain row that csv would
+    read by splitting it at its commas (no quote, none past the field limit, one field per column:
+    as a line end only closes its line, one per column of each line in all and no line end but in
+    a last column), and each study passes its check; else return False and change nothing."""
+    text, width, limit = ",".join(block), len(columns) + 1, csv.field_size_limit()
+    if '"' in text or len(text) > limit and max(map(len, block)) > limit:
         return False
     fields = text.split(",")  # the last field of each line keeps its line end; float strips it
+    heads = "".join(chain.from_iterable(fields[k::width] for k in range(width - 1)))
+    if len(fields) != len(block) * width or "\n" in heads or "\r" in heads:
+        return False
     try:
         new_ids = list(map(str.strip, fields[0::width]))
         new = [array("d", map(float, fields[k::width])) for k in range(1, width)]

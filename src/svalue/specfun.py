@@ -20,7 +20,6 @@ t = x / a - 1, not three terms of size a ln a that cancel.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import NamedTuple
@@ -48,6 +47,8 @@ def _checked_make(cls, fields):
 def _checked_int(v, what: str, low: float = 1, high: float = math.inf) -> int:
     """v as the int operator.index makes of it (numpy's integers too) if it lies in [low, high);
     else ValueError(f"{what}, got {v!r}"), as for a bool, float or str."""
+    if type(v) is int and low <= v < high:  # nothing to convert
+        return v
     try:
         if not isinstance(v, bool) and low <= (i := operator.index(v)) < high:
             return i
@@ -57,10 +58,13 @@ def _checked_int(v, what: str, low: float = 1, high: float = math.inf) -> int:
 
 
 def _checked_real(v, what: str, low: float = -math.inf, high: float = math.inf) -> float:
-    """float(v) for an int or float (numpy's float64 too) in (low, high);
-    else ValueError(f"{what}, got {v!r}"), as for a bool, str, None or NaN."""
+    """float(v) for an int or float (numpy's float64 too) in (low, high); else
+    ValueError(f"{what}, got {v!r}"), as for a bool, str, None, NaN or an int past any double."""
     if not isinstance(v, bool) and isinstance(v, (int, float)) and low < v < high:
-        return float(v)
+        try:
+            return float(v)
+        except OverflowError:  # an int too large for a double
+            pass
     raise ValueError(f"{what}, got {v!r}")
 
 
@@ -176,12 +180,12 @@ def _two_sided_tail(z: float) -> tuple[float, float]:
     return p, math.log(p) if p >= 2.0 ** -1021 else log_reg_gamma_upper(0.5, z * z / 2.0)
 
 
-@functools.cache
-def _standard_normal():
-    """NormalDist(), built on first use: importing `statistics` is slow."""
-    from statistics import NormalDist
-
-    return NormalDist()
+def _inv_cdf(q: float) -> float:
+    """NormalDist().inv_cdf(q); the first call binds that method in this function's place."""
+    global _inv_cdf
+    from statistics import NormalDist  # slow to import, so it waits for the first call
+    _inv_cdf = NormalDist().inv_cdf
+    return _inv_cdf(q)
 
 
 def normal_quantile(q: float) -> float:
@@ -193,4 +197,4 @@ def normal_quantile(q: float) -> float:
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"normal_quantile requires 0 < q < 1, got {q!r}")
-    return _standard_normal().inv_cdf(q)
+    return _inv_cdf(q)

@@ -38,6 +38,8 @@ class PValue(NamedTuple("PValue", [("value", float)])):
     _make = classmethod(_checked_make)
 
     def __new__(cls, value: float) -> PValue:
+        if type(value) is float:  # nothing to convert: the range check alone
+            return tuple.__new__(cls, (_check_p(value),))
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"P-value must be a real number, got {value!r}")
         return tuple.__new__(cls, (float(_check_p(value)),))
@@ -67,7 +69,10 @@ class SValue(NamedTuple("SValue", [("value", float), ("unit", InfoUnit)])):
             raise ValueError(f"S-value must be >= 0, got {value!r}")
         if not isinstance(unit, InfoUnit):
             raise ValueError(f"unit must be an InfoUnit, got {unit!r}")
-        return tuple.__new__(cls, (float(value) + 0.0, unit))  # normalize -0.0
+        try:
+            return tuple.__new__(cls, (float(value) + 0.0, unit))  # normalize -0.0
+        except OverflowError:  # an int too large for a double
+            raise ValueError(f"S-value must not pass the largest double, got {value!r}") from None
 
 
 def surprisal(p: PValue, unit: InfoUnit = InfoUnit.BITS) -> SValue:

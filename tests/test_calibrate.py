@@ -4,10 +4,11 @@ Every number comes from `calibration_report`, the one calibration entry point.
 """
 
 import math
+import random
 
 import pytest
 
-from svalue.calibrate import BF_BOUND_MAX_P, calibration_report
+from svalue.calibrate import BF_BOUND_MAX_P, CalibrationReport, calibration_report
 from svalue.units import PValue
 
 
@@ -147,6 +148,14 @@ class TestCalibrationReport:
         assert rep.conditional_type1 == rep.bf_lower_bound
         assert rep.conditional_type1 == 2.002881801662105319e-317
         assert rep.notes[-1] == "odds_increase_bound omitted: 1/b overflows at p = 1e-320"
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_report_equals_its_record_rebuilt_through_the_constructor(self, d):
+        rnd = random.Random(f"calibration-record/{d}")
+        low = -300 if d == 1 else -323  # the d = 1 MLR overflows below p ~ 1e-310
+        for _ in range(400):
+            rep = calibration_report(PValue(10.0 ** (low * rnd.random())), d)
+            assert type(rep) is CalibrationReport and repr(rep) == repr(CalibrationReport(*rep))
 
     def test_both_absent(self):
         rep = calibration_report(PValue(0.5), 3)

@@ -568,7 +568,10 @@ def read_both(path):
 
 HEADERS = {"p": "id,p", "effect": "id,estimate,std_error"}
 LIMIT = csv.field_size_limit()
-IRREGULAR = {  # one line that the block reader must leave to the csv row loop
+# One line, or a pair, that the block reader must leave to the csv row loop. Each pair holds
+# as many commas as two rows, but not one per line: split as one field per column, it would
+# give two studies where csv refuses a row.
+IRREGULAR = {
     "p": {
         "blank-line": "\n",
         "blank-cells": " , \n",
@@ -583,6 +586,8 @@ IRREGULAR = {  # one line that the block reader must leave to the csv row loop
         "nul-in-p": "x,0.5\0\n",
         "three-fields": "x,0.5,9\n",
         "one-field": "x\n",
+        "comma-short-then-over": "x\n0.5,y,0.25\n",
+        "blank-then-comma-over": "\n0.5,y,0.25\n",
     },
     "effect": {
         "blank-cells": ",,\n",
@@ -591,6 +596,7 @@ IRREGULAR = {  # one line that the block reader must leave to the csv row loop
         "se-zero": "x,0.3,0\n",
         "estimate-inf": "x,inf,1\n",
         "two-fields": "x,0.3\n",
+        "comma-short-then-over": "x,0.3\n0.1,y,0.5,0.2\n",
     },
 }
 
@@ -600,13 +606,16 @@ class TestCsvBlocks:
     loop's reading of the whole file, table or error, wherever the first irregular line is."""
 
     @pytest.mark.parametrize("form, kind", [(f, k) for f in IRREGULAR for k in IRREGULAR[f]])
-    @pytest.mark.parametrize("where", ["block-start", "mid-block", "last-line"])
+    @pytest.mark.parametrize("where",
+                             ["block-start", "mid-block", "last-line", "unended-last-line"])
     def test_irregular_line_after_two_blocks(self, tmp_path, form, kind, where):
         lines = plain_lines(form, kind)
         at = block_starts(lines)[2] + (where == "mid-block") * 7
-        if where == "last-line":
+        if where.endswith("last-line"):
             lines = lines[:at]
-        lines.insert(at, IRREGULAR[form][kind])
+        # an unended last line holds no line end to misplace: only the field count tells
+        end = "" if where == "unended-last-line" else "\n"
+        lines.insert(at, IRREGULAR[form][kind].removesuffix("\n") + end)
         path = tmp_path / "s.csv"
         path.write_text(HEADERS[form] + "\n" + "".join(lines), encoding="utf-8", newline="")
         read_both(path)
@@ -653,6 +662,16 @@ class TestCsvBlocks:
         path.write_text(body, encoding="utf-8")
         assert read_both(path)[0] == ids
 
+    @pytest.mark.parametrize("form", ["p", "effect"])
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_files_are_read_in_bulk(self, tmp_path, monkeypatch, form, end):
+        lines = plain_lines(form, end)
+        path = tmp_path / "s.csv"
+        path.write_text((HEADERS[form] + "\n" + "".join(lines)).replace("\n", end),
+                        encoding="utf-8", newline="")
+        assert len(read_both(path)[0]) == len(lines)
+        assert csv_rows_built(monkeypatch, path) == [HEADERS[form].split(",")]
+
     # csv reads a line that holds NUL as the block reader's split does
     @pytest.mark.parametrize("form, line", [("p", ""), ("effect", ""), ("p", "x\0y,0.5\n")],
                              ids=["p", "effect", "p-nul-in-id"])
@@ -664,27 +683,32 @@ class TestCsvBlocks:
         path = tmp_path / "s.csv"
         path.write_text(HEADERS[form] + "\n" + "".join(lines), encoding="utf-8")
         ids_, _ = read_both(path)
-        assert ids_.count("x\0y") == bool(line)
-        rows, csv_reader = [], csv.reader
+        assert len(ids_) == len(lines) and ids_.count("x\0y") == bool(line)
+        assert csv_rows_built(monkeypatch, path) == [HEADERS[form].split(",")]
 
-        class CountingReader:
-            def __init__(self, lines):
-                self.reader = csv_reader(lines)
 
-            def __iter__(self):
-                return self
+def csv_rows_built(monkeypatch, path):
+    """The rows that csv readers give while studies_from_csv reads the file at path."""
+    rows, csv_reader = [], csv.reader
 
-            def __next__(self):
-                rows.append(next(self.reader))
-                return rows[-1]
+    class CountingReader:
+        def __init__(self, lines):
+            self.reader = csv_reader(lines)
 
-            @property
-            def line_num(self):
-                return self.reader.line_num
+        def __iter__(self):
+            return self
 
-        monkeypatch.setattr(combine.csv, "reader", CountingReader)
-        assert len(studies_from_csv(path)) == len(lines)
-        assert rows == [HEADERS[form].split(",")]
+        def __next__(self):
+            rows.append(next(self.reader))
+            return rows[-1]
+
+        @property
+        def line_num(self):
+            return self.reader.line_num
+
+    monkeypatch.setattr(combine.csv, "reader", CountingReader)
+    studies_from_csv(path)
+    return rows
 
 
 class TestStudyTable:
@@ -804,8 +828,10 @@ class TestStudyTable:
         compare_methods(effects)
         s_summation_test(StudyTable.from_columns(["a", "b"], [0.5, 0.01]))
         assert built == []
-        list(studies_from_csv(p_file))  # rows are built on access, with no P-value check
-        assert built == ["Study"] * 3
+        table = studies_from_csv(p_file)
+        rows = list(table)  # one row per study, built on access with no P-value check
+        assert [type(row) for row in rows] == [Study] * 3 and built == []
+        assert all(row is not again for row, again in zip(rows, table))  # and built anew
 
     def test_wrong_form_names_route_and_columns(self, tmp_path):
         p_table = studies_from_csv(write_studies(tmp_path / "p.csv", "id,p", [(0.5,), (0.25,)]))

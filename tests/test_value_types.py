@@ -5,13 +5,14 @@ checks run on every route to an instance: the constructor, `_make` and
 `_replace`; unpickling goes through the constructor. An integer field, like
 every count argument of the library, takes numpy's integers and stores an int.
 A real field, like every real argument the library checks as given, takes an
-int or a float (numpy's float64 too) and stores a float; a bool, a str or None
-is refused with ValueError.
+int or a float (numpy's float64 too) and stores a float; a bool, a str, None or
+an int too large for a double is refused with ValueError.
 """
 
 import math
 import pickle
 import re
+import reprlib
 
 import pytest
 
@@ -49,6 +50,7 @@ BAD = [
     (SValue, "value", False, "S-value must be a real number, got False"),
     (SValue, "value", -0.1, "S-value must be >= 0, got -0.1"),
     (SValue, "value", math.nan, "S-value must be >= 0, got nan"),
+    (SValue, "value", 10**400, f"S-value must not pass the largest double, got {10**400}"),
     (SValue, "unit", "bits", "unit must be an InfoUnit, got 'bits'"),
     (ChiSquare, "df", 2.0, "df must be an integer, got 2.0"),
     (ChiSquare, "df", True, "df must be an integer, got True"),
@@ -65,7 +67,7 @@ BAD = [
     (RngSpec, "stream", 2**64, "stream must be an integer in [0, 2^64), got 18446744073709551616"),
     (RngSpec, "stream", True, "stream must be an integer in [0, 2^64), got True"),
 ]
-BAD_IDS = [f"{cls.__name__}.{field}={value!r}" for cls, field, value, _ in BAD]
+BAD_IDS = [f"{cls.__name__}.{field}={reprlib.repr(value)}" for cls, field, value, _ in BAD]
 
 
 def good(cls):
@@ -159,9 +161,10 @@ def test_real_arguments_store_an_int_as_a_float(call, k):
     assert repr(call(k)) == repr(call(float(k)))  # an int field would show in the repr
 
 
-@pytest.mark.parametrize("bad", [True, "0.5", None])
+@pytest.mark.parametrize("bad", [True, "0.5", None, 10**400],
+                         ids=["True", "0.5", "None", "10**400"])
 @pytest.mark.parametrize("call", [call for call, _ in REAL_SITES.values()], ids=REAL_SITES)
-def test_real_arguments_refuse_a_bool_str_or_none(call, bad):
+def test_real_arguments_refuse_a_bool_str_or_none(call, bad):  # or an int past any double
     with pytest.raises(ValueError, match=re.escape(f", got {bad!r}") + "$"):
         call(bad)
 
@@ -174,3 +177,13 @@ def test_real_fields_store_numpy_float64_as_a_float_and_refuse_float32():
     bad = np.float32(1.2)
     with pytest.raises(ValueError, match=re.escape(f", got {bad!r}") + "$"):
         EstimateSpec(bad, 0.5)
+
+
+def test_p_value_stores_an_int_as_a_float():
+    assert type(PValue(1).value) is float and repr(PValue(1)) == repr(PValue(1.0))
+
+
+@pytest.mark.numpy
+def test_p_value_stores_numpy_float64_as_a_float():
+    np = pytest.importorskip("numpy")
+    assert type(PValue(np.float64(0.05)).value) is float and PValue(np.float64(0.05)) == (0.05,)

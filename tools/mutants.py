@@ -55,6 +55,13 @@ MUTANTS = [
            "isinstance(v, (int, float)) and low < v", "low < v", ("tests/test_value_types.py",)),
     Mutant("real-check-stores-as-given", "specfun.py", "return float(v)", "return v",
            ("tests/test_value_types.py",)),
+    # the fast paths of exact floats and ints
+    Mutant("p-value-float-unchecked", "units.py",
+           "return tuple.__new__(cls, (_check_p(value),))", "return tuple.__new__(cls, (value,))",
+           ("tests/test_value_types.py",)),
+    Mutant("int-check-exact-int-unranged", "specfun.py",
+           "if type(v) is int and low <= v < high:", "if type(v) is int:",
+           ("tests/test_value_types.py",)),
     # the incomplete-gamma kernel
     Mutant("series-cut-at-1e-7", "specfun.py",
            "if total + term == total:", "if term < 1e-7 * total:",
@@ -81,11 +88,14 @@ MUTANTS = [
            "weights = [(se_min / se) ** 1 for se in std_error]", ("tests/test_combine.py",)),
     Mutant("s-sum-terms-sum", "combine.py", "x = math.fsum(terms)", "x = sum(terms)",
            ("tests/test_combine.py",)),
-    Mutant("bulk-read-quotes", "combine.py", """if ('"' in text or """, "if (", CSV_BLOCKS),
+    Mutant("bulk-read-quotes", "combine.py", """if '"' in text or """, "if ", CSV_BLOCKS),
     Mutant("bulk-read-line-length", "combine.py",
-           "max(map(len, block)) > csv.field_size_limit()", "False", ("tests/test_combine.py",)),
-    Mutant("bulk-read-comma-count", "combine.py",
-           'set(map(str.count, block, repeat(","))) != {width - 1}', "False", CSV_BLOCKS),
+           "len(text) > limit and max(map(len, block)) > limit", "False",
+           ("tests/test_combine.py",)),
+    Mutant("bulk-read-field-count", "combine.py",
+           "len(fields) != len(block) * width or ", "", CSV_BLOCKS),
+    Mutant("bulk-read-line-ends-unplaced", "combine.py",
+           ' or "\\n" in heads or "\\r" in heads:', ":", CSV_BLOCKS),
     Mutant("bulk-read-unchecked", "combine.py",
            "        _check_studies(new_ids, new)\n", "", CSV_BLOCKS),
     Mutant("bulk-read-header-offset", "combine.py",
@@ -97,6 +107,8 @@ MUTANTS = [
            "                    _check_effect(id_, *values) if values[1:] else _check_p(*values)\n",
            "", CSV_BLOCKS),
     Mutant("header-unstripped", "combine.py", "h.strip().lower()", "h.lower()", CSV_BLOCKS),
+    Mutant("table-rows-zipped-out-of-order", "combine.py", "else (none, *self.columns)",
+           "else (none, *self.columns[::-1])", ("tests/test_combine.py::TestStudyTable",)),
     Mutant("compare-study-overflow-unnamed", "combine.py",
            """raise OverflowError(f"study {studies.ids[i]!r}: {exc}") from None""", "raise",
            ("tests/test_combine.py::TestCompareMethods",)),
