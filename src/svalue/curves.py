@@ -53,8 +53,8 @@ def _point(estimate: float, std_error: float, mu1: float, k: float, unit: InfoUn
     p_ge, p_le = (p_near, 0.5 * p_two) if t >= 0.0 else (0.5 * p_two, p_near)
     # p_le below 2^-1022 is p_two / 2, so its log is the kernel's log of p_two less ln 2
     log_p_le = math.log(p_le) if p_le >= 2.0 ** -1022 else log_p_two - math.log(2.0)
-    # Both logs are of a P <= 1, so each S = -ln P / k is a float >= 0 (+ 0.0 turns -0.0
-    # into 0.0) and passes SValue's checks by construction: build the tuples directly.
+    # Both logs are of a P <= 1 and near -t^2 / 2 > -1e308, so each S = -ln P / k is a finite
+    # float >= 0 (+ 0.0 turns -0.0 into 0.0) and passes SValue's checks: build the tuples directly.
     return tuple.__new__(CurvePoint, (
         mu1, p_ge, p_le, tuple.__new__(SValue, (-log_p_le / k + 0.0, unit)),
         p_two, tuple.__new__(SValue, (-log_p_two / k + 0.0, unit))))

@@ -75,10 +75,7 @@ class ChiSquare(NamedTuple("ChiSquare", [("df", int)])):
     _make = classmethod(_checked_make)
 
     def __new__(cls, df: int) -> ChiSquare:
-        df = _checked_int(df, "df must be an integer", -math.inf)
-        if df < 1:
-            raise ValueError(f"df must be >= 1, got {df}")
-        return tuple.__new__(cls, (df,))
+        return tuple.__new__(cls, (_checked_int(df, "df must be an integer >= 1"),))
 
 
 def _log_prefactor(a: float, x: float) -> float:

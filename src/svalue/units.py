@@ -7,7 +7,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .specfun import _checked_make, normal_quantile
+from .specfun import _checked_make, _checked_real, normal_quantile
 
 
 class InfoUnit(enum.Enum):
@@ -53,7 +53,7 @@ def _check_p(v: float) -> float:
 
 
 class SValue(NamedTuple("SValue", [("value", float), ("unit", InfoUnit)])):
-    """A non-negative surprisal with an explicit information unit.
+    """A finite, non-negative surprisal with an explicit information unit.
 
     The unit is carried rather than normalized away: reports quote bits, nats
     and dits side by side, and an explicit tag prevents silent scale errors.
@@ -63,16 +63,11 @@ class SValue(NamedTuple("SValue", [("value", float), ("unit", InfoUnit)])):
     _make = classmethod(_checked_make)
 
     def __new__(cls, value: float, unit: InfoUnit) -> SValue:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"S-value must be a real number, got {value!r}")
-        if not value >= 0.0:  # negative or NaN
-            raise ValueError(f"S-value must be >= 0, got {value!r}")
+        # -5e-324 is the negative double nearest 0, so above it lie 0.0 and -0.0 but nothing < 0
+        value = _checked_real(value, "S-value must be a finite number >= 0", -5e-324)
         if not isinstance(unit, InfoUnit):
             raise ValueError(f"unit must be an InfoUnit, got {unit!r}")
-        try:
-            return tuple.__new__(cls, (float(value) + 0.0, unit))  # normalize -0.0
-        except OverflowError:  # an int too large for a double
-            raise ValueError(f"S-value must not pass the largest double, got {value!r}") from None
+        return tuple.__new__(cls, (value + 0.0, unit))  # normalize -0.0
 
 
 def surprisal(p: PValue, unit: InfoUnit = InfoUnit.BITS) -> SValue:
@@ -83,9 +78,11 @@ def surprisal(p: PValue, unit: InfoUnit = InfoUnit.BITS) -> SValue:
 
 
 def convert(s: SValue, target: InfoUnit) -> SValue:
-    """Rescale a surprisal to another unit."""
-    # s.value >= 0 times a positive ratio is >= 0 (or +inf), so it passes SValue's checks
+    """Rescale a surprisal to another unit; OverflowError where it passes the largest double."""
+    # s.value >= 0 times a positive ratio is >= 0; short of inf it passes SValue's checks
     value = s.value * (s.unit.nats_per_unit / target.nats_per_unit)
+    if value == math.inf:
+        raise OverflowError(f"S-value {s.value!r} {s.unit.value} overflows in {target.value}")
     return tuple.__new__(SValue, (value + 0.0, target))
 
 

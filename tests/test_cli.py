@@ -82,12 +82,19 @@ class TestConvert:
         assert payload["p"] == pytest.approx(0.1, rel=1e-12, abs=0)
         assert payload["s_bits"] == pytest.approx(math.log2(10.0), rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("s, unit", [("746", "nats"), ("2000", "bits"), ("inf", "bits")])
+    @pytest.mark.parametrize("s, unit", [("746", "nats"), ("2000", "bits"), ("1e308", "dits")])
     def test_s_past_the_smallest_p_names_the_s_value(self, capsys, s, unit):
+        # 1e308 dits would overflow in bits; the P-value is refused before any rescale
         code, out, err = run(capsys, "convert", "--s", s, "--from-unit", unit)
         assert (code, out) == (2, "")
         assert err == (f"error: S-value {float(s)!r} {unit} gives a P-value below the "
                        "smallest positive double\n")
+
+    @pytest.mark.parametrize("s", ["inf", "nan", "-0.5"])
+    def test_s_outside_its_range_is_refused(self, capsys, s):
+        code, out, err = run(capsys, "convert", "--s", s)
+        assert (code, out) == (2, "")
+        assert err == f"error: S-value must be a finite number >= 0, got {float(s)!r}\n"
 
     def test_conflicting_flags(self, capsys):
         code, _, err = run(capsys, "convert", "--p", "0.5", "--s", "1.0")

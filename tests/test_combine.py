@@ -47,7 +47,7 @@ def write_studies(path, header, rows):
     return path
 
 
-class TestStudyResult:
+class TestFromColumnsChecks:
     """StudyTable.from_columns checks the result each study reports, as the CSV reader does."""
 
     def test_exactly_one_evidence_form(self):

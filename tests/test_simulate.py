@@ -65,11 +65,6 @@ class TestRngSpec:
         b = RngSpec(42, 1).generator().random(1000)
         assert not np.array_equal(a, b)
 
-    @pytest.mark.parametrize("seed,stream", [(-1, 0), (2**64, 0), (0, -2), (1.5, 0), (0, True)])
-    def test_validation(self, seed, stream):
-        with pytest.raises(ValueError):
-            RngSpec(seed, stream)
-
     def test_a_stream_is_pcg64_seeded_by_seed_and_stream(self):
         assert RngSpec(5, 6).generator().random(3).tolist() == [
             0.2551469362614829, 0.05932341707181432, 0.13323398113429685]

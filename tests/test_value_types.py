@@ -46,24 +46,36 @@ BAD = [
     (PValue, "value", 1.0000001,
      "P-value must lie in the half-open interval (0, 1], got 1.0000001"),
     (PValue, "value", math.nan, "P-value must lie in the half-open interval (0, 1], got nan"),
-    (SValue, "value", "1", "S-value must be a real number, got '1'"),
-    (SValue, "value", False, "S-value must be a real number, got False"),
-    (SValue, "value", -0.1, "S-value must be >= 0, got -0.1"),
-    (SValue, "value", math.nan, "S-value must be >= 0, got nan"),
-    (SValue, "value", 10**400, f"S-value must not pass the largest double, got {10**400}"),
+    (PValue, "value", -0.1, "P-value must lie in the half-open interval (0, 1], got -0.1"),
+    (PValue, "value", 2.0, "P-value must lie in the half-open interval (0, 1], got 2.0"),
+    (PValue, "value", math.inf, "P-value must lie in the half-open interval (0, 1], got inf"),
+    (SValue, "value", "1", "S-value must be a finite number >= 0, got '1'"),
+    (SValue, "value", None, "S-value must be a finite number >= 0, got None"),
+    (SValue, "value", False, "S-value must be a finite number >= 0, got False"),
+    (SValue, "value", -0.1, "S-value must be a finite number >= 0, got -0.1"),
+    (SValue, "value", -5e-324, "S-value must be a finite number >= 0, got -5e-324"),
+    (SValue, "value", math.nan, "S-value must be a finite number >= 0, got nan"),
+    (SValue, "value", math.inf, "S-value must be a finite number >= 0, got inf"),
+    (SValue, "value", -math.inf, "S-value must be a finite number >= 0, got -inf"),
+    (SValue, "value", 10**400, f"S-value must be a finite number >= 0, got {10**400}"),
     (SValue, "unit", "bits", "unit must be an InfoUnit, got 'bits'"),
-    (ChiSquare, "df", 2.0, "df must be an integer, got 2.0"),
-    (ChiSquare, "df", True, "df must be an integer, got True"),
-    (ChiSquare, "df", 0, "df must be >= 1, got 0"),
+    (ChiSquare, "df", 2.0, "df must be an integer >= 1, got 2.0"),
+    (ChiSquare, "df", True, "df must be an integer >= 1, got True"),
+    (ChiSquare, "df", 0, "df must be an integer >= 1, got 0"),
+    (ChiSquare, "df", -3, "df must be an integer >= 1, got -3"),
     (EstimateSpec, "estimate", math.nan, "estimate must be finite, got nan"),
+    (EstimateSpec, "estimate", math.inf, "estimate must be finite, got inf"),
     (EstimateSpec, "estimate", -math.inf, "estimate must be finite, got -inf"),
     (EstimateSpec, "estimate", True, "estimate must be finite, got True"),
     (EstimateSpec, "estimate", "1", "estimate must be finite, got '1'"),
     (EstimateSpec, "std_error", 0.0, "std_error must be positive and finite, got 0.0"),
+    (EstimateSpec, "std_error", -1.0, "std_error must be positive and finite, got -1.0"),
     (EstimateSpec, "std_error", math.inf, "std_error must be positive and finite, got inf"),
     (EstimateSpec, "std_error", "0.5", "std_error must be positive and finite, got '0.5'"),
     (RngSpec, "seed", -1, "seed must be an integer in [0, 2^64), got -1"),
+    (RngSpec, "seed", 2**64, "seed must be an integer in [0, 2^64), got 18446744073709551616"),
     (RngSpec, "seed", 1.5, "seed must be an integer in [0, 2^64), got 1.5"),
+    (RngSpec, "stream", -2, "stream must be an integer in [0, 2^64), got -2"),
     (RngSpec, "stream", 2**64, "stream must be an integer in [0, 2^64), got 18446744073709551616"),
     (RngSpec, "stream", True, "stream must be an integer in [0, 2^64), got True"),
 ]
@@ -143,6 +155,7 @@ EFFECTS = StudyTable.from_columns(["a", "b"], [0.3, 0.5], [0.1, 0.2])
 # each real field and argument, as a call of one real x, and an int it takes (None where
 # its range holds no int)
 REAL_SITES = {
+    "SValue.value": (lambda x: SValue(x, InfoUnit.NATS), 2),
     "EstimateSpec.estimate": (lambda x: EstimateSpec(x, 0.5), 1),
     "EstimateSpec.std_error": (lambda x: EstimateSpec(1.2, x), 2),
     "curve_point.mu1": (lambda x: curve_point(EstimateSpec(1.2, 0.5), x), 1),

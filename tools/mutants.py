@@ -62,6 +62,13 @@ MUTANTS = [
     Mutant("int-check-exact-int-unranged", "specfun.py",
            "if type(v) is int and low <= v < high:", "if type(v) is int:",
            ("tests/test_value_types.py",)),
+    # the value types' ranges
+    Mutant("svalue-negative-taken", "units.py", '>= 0", -5e-324)', '>= 0", -1.0)',
+           ("tests/test_value_types.py",)),
+    Mutant("convert-overflow-unrefused", "units.py", "if value == math.inf:", "if False:",
+           ("tests/test_units.py",)),
+    Mutant("chisquare-df-zero-taken", "specfun.py", '"df must be an integer >= 1")',
+           '"df must be an integer >= 1", 0)', ("tests/test_value_types.py",)),
     # the incomplete-gamma kernel
     Mutant("series-cut-at-1e-7", "specfun.py",
            "if total + term == total:", "if term < 1e-7 * total:",
