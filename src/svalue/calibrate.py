@@ -40,8 +40,7 @@ def calibration_report(p: PValue, d: int = 1) -> CalibrationReport:
     where it is finite. Anything inapplicable is None with an explanatory note.
     """
     d = _checked_int(d, "restriction dimension d must be a positive integer")
-    if (p := p.value) == 1.0:  # p is the float from here on
-        raise ValueError("calibration_report requires p < 1")
+    p = p.value
     notes: list[str] = []
     mlr = deviance = aic_delta = None
     if d == 1:

@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_comb.set_defaults(func=cmd_combine)
 
     p_cal = sub.add_parser("calibrate", parents=[common], help="calibrate one P-value")
-    p_cal.add_argument("--p", type=float, required=True)
+    p_cal.add_argument("--p", type=float, required=True, help="P-value in (0, 1]")
     p_cal.add_argument("--d", type=int, default=1, help="restriction dimension (default: 1)")
     p_cal.set_defaults(func=cmd_calibrate)
 

@@ -269,9 +269,10 @@ def pooled_homogeneity_test(studies: StudyTable, null_value: float = 0.0) -> Poo
         pooled_estimate = scaled / total_w * e_max
     pooled_se = se_min / math.sqrt(total_w)
     z = (pooled_estimate - null_value) / pooled_se
-    if math.isinf(z):
-        raise OverflowError("the pooled z-score (pooled estimate - null) / pooled se overflows")
-    p_two_sided, log_p = _two_sided_tail(z)  # refuses a z whose square overflows
+    if math.isinf(z * z):
+        raise OverflowError("the pooled S-value overflows: the square of its z-score "
+                            "(pooled estimate - null) / pooled se is past the largest double")
+    p_two_sided, log_p = _two_sided_tail(z)
     return PooledReport(
         k=len(estimate),
         pooled_estimate=pooled_estimate,
@@ -283,14 +284,15 @@ def pooled_homogeneity_test(studies: StudyTable, null_value: float = 0.0) -> Poo
 
 
 def _study_z_scores(studies: StudyTable, null_value: float, test: str) -> list[float]:
-    """Each study's (estimate - null) / std_error for `test`, naming a study whose z overflows."""
+    """Each study's z-score (estimate - null) / std_error for `test`; the first study whose
+    z^2 overflows, and so its S-value, is refused by name."""
     estimate, std_error = _columns(studies, test, p_form=False)
     null_value = _checked_real(null_value, "null value must be finite")
     z_scores = [(e - null_value) / se for e, se in zip(estimate, std_error)]
-    if any(map(math.isinf, z_scores)):
-        i = list(map(math.isinf, z_scores)).index(True)
-        raise OverflowError(
-            f"study {studies.ids[i]!r}: the z-score (estimate - null) / std_error overflows")
+    if math.isinf((z_max := max(map(abs, z_scores))) * z_max):
+        i = next(i for i, z in enumerate(z_scores) if math.isinf(z * z))
+        raise OverflowError(f"study {studies.ids[i]!r}: the S-value overflows: the square of its "
+                            "z-score (estimate - null) / std_error is past the largest double")
     return z_scores
 
 
@@ -299,17 +301,12 @@ def compare_methods(studies: StudyTable, null_value: float = 0.0) -> MethodCompa
 
     Per-study P-values for the S-summation route are two-sided normal, from
     (estimate - null) / std_error; their surprisals stay finite where the P-values underflow.
-    Overflows are refused in this order: a study's infinite z, then the pooled z, then a
-    study whose z^2 overflows, then the S-summation statistic.
+    Overflows are refused in this order: a study whose z^2 overflows, then the pooled z^2,
+    then the S-summation statistic.
     """
     z_scores = _study_z_scores(studies, null_value, "compare_methods")
     pooled = pooled_homogeneity_test(studies, null_value)
-    try:
-        terms = [-2.0 * _two_sided_tail(z)[1] for z in z_scores]
-    except OverflowError as exc:
-        i = next(i for i, z in enumerate(z_scores) if math.isinf(z * z))
-        raise OverflowError(f"study {studies.ids[i]!r}: {exc}") from None
-    fisher = _s_summation(len(z_scores), terms)
+    fisher = _s_summation(len(z_scores), [-2.0 * _two_sided_tail(z)[1] for z in z_scores])
     s_fisher = fisher.s_summary.value
     return MethodComparison(
         s_summation=fisher,

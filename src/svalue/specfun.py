@@ -168,9 +168,7 @@ def log_chisq_survival(dist: ChiSquare, x: float) -> float:
 def _two_sided_tail(z: float) -> tuple[float, float]:
     """2 Phi(-|z|) = erfc(|z| / sqrt 2) and its log, which keeps its digits near z = 0,
     where it is log1p(-erf), and stays finite where the tail underflows: below 2^-1021
-    it is the kernel's ln Q(1/2, z^2 / 2). Where z^2 overflows, so does the log: refused."""
-    if math.isinf(z * z):
-        raise OverflowError(f"the S-value at z = {z!r} overflows: z^2 is past the largest double")
+    it is the kernel's ln Q(1/2, z^2 / 2). z^2 must be finite: the code that makes z refuses it."""
     p = math.erfc(abs(z) / _SQRT2)
     if p > 0.9:
         return p, math.log1p(-math.erf(abs(z) / _SQRT2))

@@ -96,12 +96,12 @@ def from_surprisal(s: SValue) -> PValue:
 
 
 def coin_toss_gauge(p: PValue) -> int:
-    """Surprisal in bits rounded half-to-even: "all heads in k tosses" gauge.
+    """conversion_report's s_bits, nats rescaled, rounded half-to-even: "all heads in k tosses".
 
     The gauge coin is tested one-sidedly for loading toward heads, so the
     reading is one-sided even when p itself came from a two-sided test.
     """
-    return round(surprisal(p, InfoUnit.BITS).value)
+    return round(convert(surprisal(p, InfoUnit.NATS), InfoUnit.BITS).value)
 
 
 def two_sided_to_sigma(p: PValue) -> float:

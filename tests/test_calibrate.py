@@ -40,9 +40,15 @@ class TestMlrNormal1df:
         for p in rng.uniform(1e-10, 1.0 - 1e-10, size=300):
             assert cal(float(p)).mlr >= 1.0
 
-    def test_rejects_p_equal_one(self):
-        with pytest.raises(ValueError, match="p < 1"):
-            cal(1.0)
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_p_equal_one(self, d):
+        # z = -Phi^-1(1/2) = 0: no evidence, so the MLR is 1; d = 3 has no MLR fields
+        rep = cal(1.0, d)
+        mlr = (1.0, 0.0, -2.0) if d == 1 else (None, None, None)
+        assert (rep.mlr, rep.deviance, rep.aic_delta) == mlr
+        assert (rep.bf_lower_bound, rep.odds_increase_bound, rep.conditional_type1) == (None,) * 3
+        assert rep.notes[-1] == ("Bayes-factor fields omitted: the bound -e*p*ln(p) requires "
+                                 "p < 1/e = 0.3679 (got p = 1.0)")
 
 
 class TestDevianceAndAic:
@@ -163,8 +169,6 @@ class TestCalibrationReport:
         assert len(rep.notes) == 2
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            calibration_report(PValue(1.0), 1)
         for d in (0, 1.5, True):
             with pytest.raises(ValueError, match="positive integer"):
                 calibration_report(PValue(0.05), d)

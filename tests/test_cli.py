@@ -12,6 +12,15 @@ from svalue.cli import main
 from svalue.units import InfoUnit, PValue, SValue, conversion_report
 
 
+# the whole error line of an S-value that would overflow names whose z-score it is
+MU1_OVERFLOWS = ("the S-value at mu1 = {} overflows: the square of its z-score "
+                 "(estimate - mu1) / std_error is past the largest double")
+POOLED_OVERFLOWS = ("the pooled S-value overflows: the square of its z-score "
+                    "(pooled estimate - null) / pooled se is past the largest double")
+STUDY_OVERFLOWS = ("study {!r}: the S-value overflows: the square of its z-score "
+                   "(estimate - null) / std_error is past the largest double")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -260,6 +269,13 @@ class TestCalibrate:
         assert payload["bf_lower_bound"] is None
         assert any("1/e" in n for n in payload["notes"])
 
+    def test_p_equal_one_answers(self, capsys):
+        code, out, err = run(capsys, "calibrate", "--p", "1", "--format", "json")
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        assert (payload["mlr"], payload["deviance"], payload["aic_delta"]) == (1.0, 0.0, -2.0)
+        assert payload["bf_lower_bound"] is None and len(payload["notes"]) == 1
+
     def test_mlr_null_for_higher_dimension(self, capsys):
         code, out, _ = run(capsys, "calibrate", "--p", "0.05", "--d", "3",
                            "--format", "json")
@@ -507,7 +523,7 @@ class TestArithmeticErrors:
 
     @pytest.mark.parametrize("method, rows", [
         ("pooled", "a,1e308,1e-308\nb,1,1\n"),  # z = (estimate - null) / std_error
-        ("z2", "a,1e300,1\nb,1,1\n"),  # the sum of z^2
+        ("z2", "a,1e154,1\nb,1e154,1\n"),  # the sum of z^2; each z^2 is finite
     ])
     def test_overflowing_statistic(self, capsys, tmp_path, method, rows):
         f = tmp_path / "big.csv"
@@ -516,53 +532,44 @@ class TestArithmeticErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "overflows" in err
 
-    @pytest.mark.parametrize("method, rows, message", [
-        ("pooled", "a,1e200,1\n", "the S-value at z = 1e+200 overflows"),
-        ("compare", "a,1e200,1\n", "the S-value at z = 1e+200 overflows"),
-        # each study's z is finite; the pooled z is not
-        ("pooled", "a,1.7e308,1\n" * 3,
-         "the pooled z-score (pooled estimate - null) / pooled se overflows"),
-        ("compare", "a,1.7e308,1\n" * 3,
-         "the pooled z-score (pooled estimate - null) / pooled se overflows"),
-        ("compare", "a,1.3e154,1\nb,-1.3e154,1\n", "the S-summation statistic 2 s_plus overflows"),
-        # the pooled z is 0; study a's own z^2 overflows
-        ("compare", "a,1.4e154,1\nb,-1.4e154,1\n",
-         "study 'a': the S-value at z = 1.4e+154 overflows"),
+    @pytest.mark.parametrize("argv, rows, message", [
+        # a curve names the first mu1 whose z^2 overflows: at z = 1e300, then at infinite z
+        (["curve", "--estimate=0", "--se=1e-300", "--from=-1", "--to=1", "--steps=3"], None,
+         MU1_OVERFLOWS.format("-1.0")),
+        (["curve", "--estimate=-1.7e308", "--se=1e-300", "--from=0", "--to=1", "--steps=2"], None,
+         MU1_OVERFLOWS.format("0.0")),
+        (["curve", "--estimate=1.7e308", "--se=1", "--from=-1.7e308", "--to=0", "--steps=2"], None,
+         MU1_OVERFLOWS.format("-1.7e+308")),
+        (["curve", "--estimate=1e308", "--se=1e-10", "--from=0", "--to=1", "--steps=2"], None,
+         MU1_OVERFLOWS.format("0.0")),
+        # pooled: the pooled z^2 at z = 1e200; from finite study z, a pooled z of 1.7e308 sqrt 3
+        (["combine", "--method=pooled"], "a,1e200,1\n", POOLED_OVERFLOWS),
+        (["combine", "--method=pooled"], "a,1.7e308,1\n" * 3, POOLED_OVERFLOWS),
+        # z2 and compare name the first study whose z^2 overflows, before any pooled z
+        (["combine", "--method=z2"], "a,1.4e154,1\n", STUDY_OVERFLOWS.format("a")),
+        (["combine", "--method=compare"], "a,1.4e154,1\n", STUDY_OVERFLOWS.format("a")),
+        (["combine", "--method=compare"], "a,1e200,1\n", STUDY_OVERFLOWS.format("a")),
+        (["combine", "--method=compare"], "a,1.7e308,1\n" * 3, STUDY_OVERFLOWS.format("a")),
+        (["combine", "--method=compare"], "a,1.4e154,1\nb,-1.4e154,1\n",  # the pooled z is 0
+         STUDY_OVERFLOWS.format("a")),
+        # study a's own z, 1e310, overflows; b's z is 0
+        (["combine", "--method=z2"], "a,1e300,1e-10\nb,0,1e-20\n", STUDY_OVERFLOWS.format("a")),
+        (["combine", "--method=compare"], "a,1e300,1e-10\nb,0,1e-20\n",
+         STUDY_OVERFLOWS.format("a")),
+        (["combine", "--method=z2"], "a,0,1\nb,1.4e154,1\n", STUDY_OVERFLOWS.format("b")),
+        # compare: each study's z^2 is 1e308, finite; the pooled z^2, 4e308, is not
+        (["combine", "--method=compare"], "a,1e154,1\n" * 4, POOLED_OVERFLOWS),
+        # compare: the pooled z is 0 and each z^2 finite, but the 2 s_k sum past the largest double
+        (["combine", "--method=compare"], "a,1.3e154,1\nb,-1.3e154,1\n",
+         "the S-summation statistic 2 s_plus overflows"),
     ])
     @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
-    def test_overflowing_s_value(self, capsys, tmp_path, method, rows, message, fmt):
-        f = tmp_path / "big.csv"
-        f.write_text("id,estimate,std_error\n" + rows, encoding="utf-8")
-        code, out, err = run(capsys, "combine", "--input", str(f), "--method", method,
-                             "--format", fmt)
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: {message}") and err.count("\n") == 1
-
-    def test_curve_z_squared_overflow(self, capsys):
-        code, out, err = run(capsys, "curve", "--estimate", "0", "--se", "1e-300",
-                             "--from", "-1", "--to", "1", "--steps", "3")
-        assert (code, out) == (2, "")
-        assert err == ("error: the S-value at z = 9.999999999999999e+299 overflows: "
-                       "z^2 is past the largest double\n")
-
-    @pytest.mark.parametrize("argv, mu1", [
-        (["--estimate=1.7e308", "--se=1", "--from=-1.7e308", "--to=0"], "-1.7e+308"),
-        (["--estimate=1e308", "--se=1e-10", "--from=0", "--to=1"], "0.0"),
-    ])
-    def test_curve_z_overflow_names_mu1(self, capsys, argv, mu1):
-        code, out, err = run(capsys, "curve", *argv, "--steps=2")
-        assert (code, out) == (2, "")
-        assert err == ("error: the z-score (estimate - mu1) / std_error overflows at "
-                       f"mu1 = {mu1}\n")
-
-    @pytest.mark.parametrize("method", ["compare", "z2"])
-    def test_overflowing_study_z_names_the_study(self, capsys, tmp_path, method):
-        # the pooled z is 1e300, finite; study a's own z overflows
-        f = tmp_path / "big.csv"
-        f.write_text("id,estimate,std_error\na,1e300,1e-10\nb,0,1e-20\n", encoding="utf-8")
-        code, out, err = run(capsys, "combine", "--input", str(f), "--method", method)
-        assert (code, out) == (2, "")
-        assert err == "error: study 'a': the z-score (estimate - null) / std_error overflows\n"
+    def test_overflowing_s_value(self, capsys, tmp_path, argv, rows, message, fmt):
+        if rows is not None:
+            f = tmp_path / "big.csv"
+            f.write_text("id,estimate,std_error\n" + rows, encoding="utf-8")
+            argv = [*argv, f"--input={f}"]
+        assert run(capsys, *argv, f"--format={fmt}") == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("method", ["pooled", "compare", "z2"])
     @pytest.mark.parametrize("null", ["nan", "inf"])

@@ -27,6 +27,11 @@ from svalue.units import PValue
 
 from oracles import chisq_survival_closed_form_even, phi, studies_from_csv_by_rows
 
+POOLED_OVERFLOWS = ("the pooled S-value overflows: the square of its z-score "
+                    "(pooled estimate - null) / pooled se is past the largest double")
+STUDY_OVERFLOWS = ("study {!r}: the S-value overflows: the square of its z-score "
+                   "(estimate - null) / std_error is past the largest double")
+
 
 def ids(k):
     return [f"s{i}" for i in range(k)]
@@ -278,20 +283,14 @@ class TestPooled:
         assert math.isfinite(rep.s_summary.value)
         assert rep.s_summary.value > 1000.0
 
-    def test_overflowing_z_raises(self):
-        with pytest.raises(OverflowError):
-            pooled_homogeneity_test(effect_studies((1e308, 1e-308), (1.0, 1.0)))
-
-    def test_overflowing_z_squared_raises(self):
-        with pytest.raises(OverflowError, match=r"^the S-value at z = 1e\+200 overflows"):
-            pooled_homogeneity_test(effect_studies((1e200, 1.0)))
-
-    @pytest.mark.parametrize("test", [pooled_homogeneity_test, compare_methods])
-    def test_overflowing_pooled_z_is_named(self, test):
-        # each study's z is 1.7e308, finite; the pooled z, 1.7e308 sqrt 3, is not
-        message = "the pooled z-score (pooled estimate - null) / pooled se overflows"
-        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
-            test(effect_studies(*[(1.7e308, 1.0)] * 3))
+    @pytest.mark.parametrize("pairs", [
+        [(1e308, 1e-308), (1.0, 1.0)],  # the pooled z overflows
+        [(1e200, 1.0)],  # the pooled z is finite and its square is not
+        [(1.7e308, 1.0)] * 3,  # each study's z is finite; the pooled z, 1.7e308 sqrt 3, is not
+    ])
+    def test_overflowing_z_squared_is_named(self, pairs):
+        with pytest.raises(OverflowError, match=f"^{re.escape(POOLED_OVERFLOWS)}$"):
+            pooled_homogeneity_test(effect_studies(*pairs))
 
     @pytest.mark.parametrize("test", [pooled_homogeneity_test, compare_methods])
     @pytest.mark.parametrize("null", [math.nan, math.inf, -math.inf])
@@ -348,27 +347,20 @@ class TestCompareMethods:
         shuffled = effect_studies(*(pairs[i] for i in rng.permutation(len(pairs))))
         assert compare_methods(effect_studies(*pairs)) == compare_methods(shuffled)
 
-    def test_overflowing_study_z_names_the_study(self):
-        # the pooled z is 1e300, finite; study a's own z is 1e310
-        studies = StudyTable.from_columns(["a", "b"], [1e300, 0.0], [1e-10, 1e-20])
-        with pytest.raises(OverflowError, match=r"^study 'a': the z-score .* overflows$"):
-            compare_methods(studies)
-
-    def test_overflowing_study_z_squared_names_the_study(self):
-        # the pooled z is 0; each study's z is finite, but the first one's square overflows
-        studies = effect_studies((1.4e154, 1.0), (-1.4e154, 1.0))
-        message = "study 's0': the S-value at z = 1.4e+154 overflows: z^2 is past the largest double"
-        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
-            compare_methods(studies)
-
-    @pytest.mark.parametrize("rows, message", [
-        ([(1e200, 1.0)], "the S-value at z = 1e+200 overflows"),  # the pooled z's square
-        # the pooled z is 0, but the two studies' 2 s_k sum past the largest double
+    @pytest.mark.parametrize("pairs, message", [
+        # first a study's z^2, naming the first such study, whose own z may be infinite (s1)
+        ([(0.0, 1.0), (1e300, 1e-10), (1.4e154, 1.0)], STUDY_OVERFLOWS.format("s1")),
+        ([(1.4e154, 1.0), (-1.4e154, 1.0)], STUDY_OVERFLOWS.format("s0")),  # the pooled z is 0
+        ([(1e200, 1.0)], STUDY_OVERFLOWS.format("s0")),  # its pooled z^2 overflows too
+        # then the pooled z^2: each study's z^2 is 1e308, finite; the pooled z^2, 4e308, is not
+        ([(1e154, 1.0)] * 4, POOLED_OVERFLOWS),
+        # then the S-summation statistic: the pooled z is 0 and each z^2 finite, but the
+        # two studies' 2 s_k sum past the largest double
         ([(1.3e154, 1.0), (-1.3e154, 1.0)], "the S-summation statistic 2 s_plus overflows"),
     ])
-    def test_overflowing_s_value_is_refused(self, rows, message):
-        with pytest.raises(OverflowError, match=f"^{re.escape(message)}"):
-            compare_methods(effect_studies(*rows))
+    def test_overflowing_s_value_is_refused_in_order(self, pairs, message):
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            compare_methods(effect_studies(*pairs))
 
 
 def effect_columns(rnd, k, scale=1.0):

@@ -143,23 +143,21 @@ class TestCurve:
             curve(EstimateSpec(0.0, 1.0), frm, to, steps)
 
     @pytest.mark.parametrize("spec, frm, to, mu1", [
+        # z itself overflows
         (EstimateSpec(1.7e308, 1.0), -1.7e308, 0.0, -1.7e308),
         (EstimateSpec(1e308, 1e-10), 0.0, 1.0, 0.0),
-        # the first point is fine; the second point's z overflows
+        # the first point's z^2, 1e308, is finite; the second point's z overflows
         (EstimateSpec(0.0, 1e-300), -1e-146, 1e10, 1e10),
+        # the first point's z, 1.4e154, is finite and its z^2 is not; the second's z overflows
+        (EstimateSpec(7e153, 0.5), 0.0, 1.7e308, 0.0),
     ])
-    def test_overflowing_z_names_mu1(self, spec, frm, to, mu1):
-        message = re.escape(f"the z-score (estimate - mu1) / std_error overflows at mu1 = {mu1!r}")
+    def test_overflowing_z_squared_names_mu1(self, spec, frm, to, mu1):
+        message = re.escape(f"the S-value at mu1 = {mu1!r} overflows: the square of its z-score "
+                            "(estimate - mu1) / std_error is past the largest double")
         with pytest.raises(OverflowError, match=f"^{message}$"):
             curve(spec, frm, to, 2)
         with pytest.raises(OverflowError, match=f"^{message}$"):
             curve_point(spec, mu1)
-
-    def test_overflowing_z_squared_names_z(self):
-        # the first point's z = 1.4e154 is finite and its z^2 is not, so the kernel's message
-        # stands, though the second point's z = -3.4e308 overflows
-        with pytest.raises(OverflowError, match=r"^the S-value at z = 1.4e\+154 overflows: z\^2"):
-            curve(EstimateSpec(7e153, 0.5), 0.0, 1.7e308, 2)
 
     @pytest.mark.parametrize("mu1", [math.nan, math.inf, -math.inf])
     def test_non_finite_mu1(self, mu1):

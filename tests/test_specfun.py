@@ -245,13 +245,6 @@ class TestTwoSidedTail:
         assert log_p == pytest.approx(LOG_TWO_SIDED[z], rel=1e-15, abs=0)
         assert p == math.erfc(abs(z) / math.sqrt(2.0))  # 0.0 at |z| = 40
 
-    @pytest.mark.parametrize("z", [1.4e154, -1e200, 1.7e308, math.inf])
-    def test_refused_where_z_squared_overflows(self, z):
-        # 1.3e154 squares to 1.69e308, finite; these square past the largest double
-        assert math.isfinite(_two_sided_tail(1.3e154)[1])
-        with pytest.raises(OverflowError, match=re.escape(f"the S-value at z = {z!r} overflows")):
-            _two_sided_tail(z)
-
 
 class TestNormalQuantile:
     def test_median(self):

@@ -202,8 +202,24 @@ class TestCoinTossGauge:
         assert coin_toss_gauge(PValue(p)) == tosses
 
     def test_rounds_half_to_even(self):
-        assert coin_toss_gauge(PValue(2.0**-2.5)) == 2  # 2.5 bits -> 2
-        assert coin_toss_gauge(PValue(2.0**-3.5)) == 4  # 3.5 bits -> 4
+        # an exact half rounds to the even count
+        assert conversion_report(SValue(2.5, InfoUnit.BITS)).coin_tosses == 2
+        assert conversion_report(SValue(3.5, InfoUnit.BITS)).coin_tosses == 4
+        # the double 2.0**-3.5 is 3.4999999999999999014 bits (mpmath), just short of the half
+        assert coin_toss_gauge(PValue(2.0**-3.5)) == 3
+
+    def test_agrees_with_the_conversion_report(self):
+        # the doubles within 40 ulps of 2^-(k + 1/2), where the bits lie nearest a half
+        ps = set()
+        for k in range(1070):
+            lo = hi = 2.0 ** -(k + 0.5)
+            ps.add(lo)
+            for _ in range(40):
+                lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)
+                ps.update((lo, hi) if lo > 0.0 else (hi,))
+        assert len(ps) == 86558
+        assert [p for p in sorted(ps)
+                if coin_toss_gauge(PValue(p)) != conversion_report(PValue(p)).coin_tosses] == []
 
 
 class TestTwoSidedToSigma:

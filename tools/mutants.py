@@ -82,7 +82,7 @@ MUTANTS = [
            "return (log_pref + math.log(_upper_cf_factor(a, x, max_iter))) * (1 + 1e-7)", SPECFUN),
     Mutant("lentz-c-sign", "specfun.py", "c = b + q", "c = b - q", SPECFUN),
     # curves
-    Mutant("curve-overflow-unnamed", "curves.py", "if math.isinf(t):", "if False:",
+    Mutant("curve-z-squared-unrefused", "curves.py", "if math.isinf(t * t):", "if math.isinf(t):",
            ("tests/test_curves.py", "tests/test_cli.py::TestArithmeticErrors")),
     Mutant("curve-grid-steps-by-width-over-n", "curves.py",
            "from_ + (x / n if (x := width * i) < math.inf else width / n * i)",
@@ -116,8 +116,11 @@ MUTANTS = [
     Mutant("header-unstripped", "combine.py", "h.strip().lower()", "h.lower()", CSV_BLOCKS),
     Mutant("table-rows-zipped-out-of-order", "combine.py", "else (none, *self.columns)",
            "else (none, *self.columns[::-1])", ("tests/test_combine.py::TestStudyTable",)),
-    Mutant("compare-study-overflow-unnamed", "combine.py",
-           """raise OverflowError(f"study {studies.ids[i]!r}: {exc}") from None""", "raise",
+    Mutant("pooled-z-squared-unrefused", "combine.py", "if math.isinf(z * z):",
+           "if math.isinf(z):", ("tests/test_combine.py::TestPooled",)),
+    Mutant("study-z-squared-unrefused", "combine.py",
+           "if math.isinf((z_max := max(map(abs, z_scores))) * z_max):",
+           "if math.isinf(z_max := max(map(abs, z_scores))):",
            ("tests/test_combine.py::TestCompareMethods",)),
     # simulate
     Mutant("chunk-hits-after-log", "simulate.py", CHUNK_HITS + CHUNK_LOG,
