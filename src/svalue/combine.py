@@ -188,13 +188,12 @@ class MethodComparison(NamedTuple):
 def _summary_from_chisq(df: int, terms: Iterable[float], name: str) -> tuple[float, float, float]:
     """(statistic, survival p, surprisal in nats) of the chi-squared statistic fsum(terms).
 
-    A statistic that overflows is refused, naming it as `name`. The surprisal comes from
-    the log-space kernel and stays finite; p = e^-s is for display and may underflow to 0.0.
+    Every term is finite where it is made (from a P, 2 s_k <= -2 ln 5e-324 < 1490; from a z,
+    its z^2 is refused first), so fsum's OverflowError is the one sign of an overflow, refused
+    as `name`. The log-space kernel keeps the surprisal finite; p = e^-s may underflow to 0.0.
     """
-    try:  # fsum returns inf for an infinite term and raises on a finite overflow
+    try:
         x = math.fsum(terms)
-        if math.isinf(x):
-            raise OverflowError
     except OverflowError:
         raise OverflowError(f"the {name} overflows") from None
     s = -log_chisq_survival(ChiSquare(df), x)
@@ -229,14 +228,16 @@ def _s_summation(k: int, terms: Iterable[float]) -> CombinationReport:
 def z_squared_test(z_scores: list[float]) -> ZSquaredReport:
     """Sum of squared z-scores referred to chi-squared on K df.
 
-    The K-df reference is only right when no cross-study information went into
-    the z-scores (see Z_SQUARED_DF_CAVEAT, reported in notes).
+    The K-df reference is only right when no cross-study information went into the z-scores
+    (see Z_SQUARED_DF_CAVEAT, in notes). The first z whose square overflows is refused by index.
     """
     if not z_scores:
         raise ValueError("z_squared_test requires at least one z-score")
-    for z in z_scores:
-        if not math.isfinite(z):
-            raise ValueError(f"z-scores must be finite, got {z!r}")
+    for i, z in enumerate(z_scores):
+        if not math.isfinite(z * z):
+            raise (OverflowError(f"z_scores[{i}]: the S-value overflows: its square is past the "
+                                 "largest double") if math.isfinite(z)
+                   else ValueError(f"z-scores must be finite, got {z!r}"))
     k = len(z_scores)
     statistic, p_summary, s_summary = _summary_from_chisq(
         k, (z * z for z in z_scores), "sum of squared z-scores")

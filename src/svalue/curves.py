@@ -12,15 +12,15 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .specfun import _SQRT2, _checked_int, _checked_make, _checked_real, _two_sided_tail
+from .specfun import _SQRT2, _Checked, _checked_int, _checked_real, _two_sided_tail
 from .units import InfoUnit, SValue
 
 
-class EstimateSpec(NamedTuple("EstimateSpec", [("estimate", float), ("std_error", float)])):
+class EstimateSpec(_Checked, NamedTuple("EstimateSpec",
+                                        [("estimate", float), ("std_error", float)])):
     """A point estimate with its standard error."""
 
     __slots__ = ()
-    _make = classmethod(_checked_make)
 
     def __new__(cls, estimate: float, std_error: float) -> EstimateSpec:
         estimate = _checked_real(estimate, "estimate must be finite")

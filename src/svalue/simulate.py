@@ -47,7 +47,7 @@ from collections.abc import Sequence
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
-from .specfun import _checked_int, _checked_make, _checked_real
+from .specfun import _Checked, _checked_int, _checked_real
 from .units import InfoUnit
 
 if TYPE_CHECKING:
@@ -69,11 +69,10 @@ def _numpy():
     return numpy
 
 
-class RngSpec(NamedTuple("RngSpec", [("seed", int), ("stream", int)])):
+class RngSpec(_Checked, NamedTuple("RngSpec", [("seed", int), ("stream", int)])):
     """Seed and substream index for a reproducible PCG64 stream."""
 
     __slots__ = ()
-    _make = classmethod(_checked_make)
 
     def __new__(cls, seed: int, stream: int = 0) -> RngSpec:
         seed, stream = (_checked_int(v, f"{name} must be an integer in [0, 2^64)", 0, 2**64)

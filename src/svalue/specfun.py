@@ -39,9 +39,12 @@ class ConvergenceError(ArithmeticError):
     """An iterative kernel failed to converge within its iteration bound."""
 
 
-def _checked_make(cls, fields):
-    """`_make`, and so `_replace`, of a checked value type: through its checking `__new__`."""
-    return cls(*fields)
+class _Checked:
+    """First base of each checked value type: `_make`, and so `_replace`, build through the
+    type's checking `__new__`, so no value type made on this base can skip its check."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _checked_int(v, what: str, low: float = 1, high: float = math.inf) -> int:
@@ -68,11 +71,10 @@ def _checked_real(v, what: str, low: float = -math.inf, high: float = math.inf) 
     raise ValueError(f"{what}, got {v!r}")
 
 
-class ChiSquare(NamedTuple("ChiSquare", [("df", int)])):
+class ChiSquare(_Checked, NamedTuple("ChiSquare", [("df", int)])):
     """Chi-squared distribution with a positive integer number of df."""
 
     __slots__ = ()
-    _make = classmethod(_checked_make)
 
     def __new__(cls, df: int) -> ChiSquare:
         return tuple.__new__(cls, (_checked_int(df, "df must be an integer >= 1"),))

@@ -7,7 +7,9 @@ import enum
 import math
 from typing import NamedTuple
 
-from .specfun import _checked_make, _checked_real, normal_quantile
+from .specfun import _Checked, _checked_real, normal_quantile
+
+_P_RANGE = "P-value must lie in the half-open interval (0, 1]"  # the one P-value message
 
 
 class InfoUnit(enum.Enum):
@@ -27,32 +29,26 @@ class InfoUnit(enum.Enum):
         return unit
 
 
-class PValue(NamedTuple("PValue", [("value", float)])):
-    """A probability in the half-open interval (0, 1].
-
-    Zero is rejected at construction: its surprisal is infinite and every
-    downstream formula would stop being total.
-    """
+class PValue(_Checked, NamedTuple("PValue", [("value", float)])):
+    """A probability in the half-open interval (0, 1], stored as a float. Zero is refused: its
+    surprisal is infinite and every downstream formula would stop being total."""
 
     __slots__ = ()
-    _make = classmethod(_checked_make)
 
     def __new__(cls, value: float) -> PValue:
         if type(value) is float:  # nothing to convert: the range check alone
             return tuple.__new__(cls, (_check_p(value),))
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"P-value must be a real number, got {value!r}")
-        return tuple.__new__(cls, (float(_check_p(value)),))
+        return tuple.__new__(cls, (_checked_real(value, _P_RANGE, 0.0, math.nextafter(1.0, 2.0)),))
 
 
 def _check_p(v: float) -> float:
     """v itself if it lies in (0, 1]; the one P-value range check."""
     if not 0.0 < v <= 1.0:  # NaN fails it too
-        raise ValueError(f"P-value must lie in the half-open interval (0, 1], got {v!r}")
+        raise ValueError(f"{_P_RANGE}, got {v!r}")
     return v
 
 
-class SValue(NamedTuple("SValue", [("value", float), ("unit", InfoUnit)])):
+class SValue(_Checked, NamedTuple("SValue", [("value", float), ("unit", InfoUnit)])):
     """A finite, non-negative surprisal with an explicit information unit.
 
     The unit is carried rather than normalized away: reports quote bits, nats
@@ -60,7 +56,6 @@ class SValue(NamedTuple("SValue", [("value", float), ("unit", InfoUnit)])):
     """
 
     __slots__ = ()
-    _make = classmethod(_checked_make)
 
     def __new__(cls, value: float, unit: InfoUnit) -> SValue:
         # -5e-324 is the negative double nearest 0, so above it lie 0.0 and -0.0 but nothing < 0

@@ -226,10 +226,19 @@ class TestZSquared:
         with pytest.raises(ValueError):
             z_squared_test([1.0, math.inf])
 
-    @pytest.mark.parametrize("z_scores", [[1e300, 1.0], [1e154] * 3])
-    def test_overflowing_sum_raises(self, z_scores):
-        with pytest.raises(OverflowError, match="sum of squared z-scores overflows"):
+    @pytest.mark.parametrize("z_scores, error, message", [
+        ([1e300, 1.0], OverflowError,
+         "z_scores[0]: the S-value overflows: its square is past the largest double"),
+        ([1.4e154], OverflowError,
+         "z_scores[0]: the S-value overflows: its square is past the largest double"),
+        ([1.0, 1.4e154], OverflowError,
+         "z_scores[1]: the S-value overflows: its square is past the largest double"),
+        ([1e154] * 3, OverflowError, "the sum of squared z-scores overflows"),
+    ])
+    def test_overflowing_sum_raises(self, z_scores, error, message):
+        with pytest.raises(error) as info:
             z_squared_test(z_scores)
+        assert str(info.value) == message
 
 
 class TestPooled:

@@ -39,9 +39,11 @@ GOOD = {
 
 # (type, one bad field, its value, the whole message)
 BAD = [
-    (PValue, "value", "0.5", "P-value must be a real number, got '0.5'"),
-    (PValue, "value", None, "P-value must be a real number, got None"),
-    (PValue, "value", True, "P-value must be a real number, got True"),
+    (PValue, "value", "0.5", "P-value must lie in the half-open interval (0, 1], got '0.5'"),
+    (PValue, "value", None, "P-value must lie in the half-open interval (0, 1], got None"),
+    (PValue, "value", True, "P-value must lie in the half-open interval (0, 1], got True"),
+    (PValue, "value", 0, "P-value must lie in the half-open interval (0, 1], got 0"),
+    (PValue, "value", 2, "P-value must lie in the half-open interval (0, 1], got 2"),
     (PValue, "value", 0.0, "P-value must lie in the half-open interval (0, 1], got 0.0"),
     (PValue, "value", 1.0000001,
      "P-value must lie in the half-open interval (0, 1], got 1.0000001"),
@@ -155,6 +157,7 @@ EFFECTS = StudyTable.from_columns(["a", "b"], [0.3, 0.5], [0.1, 0.2])
 # each real field and argument, as a call of one real x, and an int it takes (None where
 # its range holds no int)
 REAL_SITES = {
+    "PValue.value": (PValue, 1),
     "SValue.value": (lambda x: SValue(x, InfoUnit.NATS), 2),
     "EstimateSpec.estimate": (lambda x: EstimateSpec(x, 0.5), 1),
     "EstimateSpec.std_error": (lambda x: EstimateSpec(1.2, x), 2),
@@ -190,10 +193,6 @@ def test_real_fields_store_numpy_float64_as_a_float_and_refuse_float32():
     bad = np.float32(1.2)
     with pytest.raises(ValueError, match=re.escape(f", got {bad!r}") + "$"):
         EstimateSpec(bad, 0.5)
-
-
-def test_p_value_stores_an_int_as_a_float():
-    assert type(PValue(1).value) is float and repr(PValue(1)) == repr(PValue(1.0))
 
 
 @pytest.mark.numpy

@@ -55,6 +55,9 @@ MUTANTS = [
            "isinstance(v, (int, float)) and low < v", "low < v", ("tests/test_value_types.py",)),
     Mutant("real-check-stores-as-given", "specfun.py", "return float(v)", "return v",
            ("tests/test_value_types.py",)),
+    # the value types' checked base
+    Mutant("checked-base-make-unchecked", "specfun.py", "cls(*fields)",
+           "tuple.__new__(cls, fields)", ("tests/test_value_types.py",)),
     # the fast paths of exact floats and ints
     Mutant("p-value-float-unchecked", "units.py",
            "return tuple.__new__(cls, (_check_p(value),))", "return tuple.__new__(cls, (value,))",
@@ -63,6 +66,8 @@ MUTANTS = [
            "if type(v) is int and low <= v < high:", "if type(v) is int:",
            ("tests/test_value_types.py",)),
     # the value types' ranges
+    Mutant("p-value-range-unbounded", "units.py", "math.nextafter(1.0, 2.0)", "math.inf",
+           ("tests/test_value_types.py",)),
     Mutant("svalue-negative-taken", "units.py", '>= 0", -5e-324)', '>= 0", -1.0)',
            ("tests/test_value_types.py",)),
     Mutant("convert-overflow-unrefused", "units.py", "if value == math.inf:", "if False:",
@@ -122,6 +127,8 @@ MUTANTS = [
            "if math.isinf((z_max := max(map(abs, z_scores))) * z_max):",
            "if math.isinf(z_max := max(map(abs, z_scores))):",
            ("tests/test_combine.py::TestCompareMethods",)),
+    Mutant("z2-z-squared-unrefused", "combine.py", "math.isfinite(z * z)", "math.isfinite(z)",
+           ("tests/test_combine.py::TestZSquared",)),
     # simulate
     Mutant("chunk-hits-after-log", "simulate.py", CHUNK_HITS + CHUNK_LOG,
            CHUNK_LOG + CHUNK_HITS, ("tests/test_simulate.py",)),
